@@ -298,22 +298,19 @@ class CollusionNetworkService(AccountAutomationService):
                 if record.account_id not in self.no_outbound and record.service_active(now)
             ]
             self._pool_cache_tick = now
-            if self.platform.fast_path:
-                self._pool_index = {
-                    record.account_id: i for i, record in enumerate(self._pool_cache)
-                }
-        if self.platform.fast_path:
-            # Same list the filter below builds, assembled by slicing
-            # around the (at most one) excluded element instead of
-            # re-testing every record per order. Callers only read and
-            # index the pool, so returning the cache itself when the
-            # excluded account is not in it is safe.
-            cache = self._pool_cache
-            i = self._pool_index.get(exclude)
-            if i is None:
-                return cache
-            return cache[:i] + cache[i + 1:]
-        return [record for record in self._pool_cache if record.account_id != exclude]
+            self._pool_index = {
+                record.account_id: i for i, record in enumerate(self._pool_cache)
+            }
+        # The cached pool minus ``exclude``, assembled by slicing around
+        # the (at most one) excluded element instead of re-testing every
+        # record per order. Callers only read and index the pool, so
+        # returning the cache itself when the excluded account is not in
+        # it is safe.
+        cache = self._pool_cache
+        i = self._pool_index.get(exclude)
+        if i is None:
+            return cache
+        return cache[:i] + cache[i + 1:]
 
     def _next_source(self, pool: list[CustomerRecord]) -> CustomerRecord:
         self._source_cursor = (self._source_cursor + 1) % len(pool)
@@ -361,18 +358,6 @@ class CollusionNetworkService(AccountAutomationService):
         self._note_like_outcome(order.customer, outcome)
         return outcome
 
-    def _deliver_follow(self, order: Order, source: CustomerRecord) -> IssueOutcome:
-        if self.platform.graph.is_following(source.account_id, order.customer):
-            return IssueOutcome.INVALID
-        outcome = self._issue(
-            source,
-            lambda session, endpoint: self.platform.follow(
-                session, order.customer, endpoint, ApiSurface.PRIVATE_MOBILE
-            ),
-        )
-        self.detector.observe(ActionType.FOLLOW, outcome is IssueOutcome.BLOCKED, self.platform.clock.now)
-        return outcome
-
     def _deliver_comment(self, order: Order, source: CustomerRecord) -> IssueOutcome:
         media = self.platform.media.media_of(order.customer)
         if not media:
@@ -397,27 +382,21 @@ class CollusionNetworkService(AccountAutomationService):
         budget = max(1, order.per_hour)
         budget = min(budget, order.quantity - order.delivered)
         action_type = order.action_type
-        if self.platform.fast_path:
-            # In a saturated network nearly every attempt is an RNG-free,
-            # effect-free rejection — a source that already follows (or
-            # already likes) the recipient, classified by a single probe.
-            # The fast loops inline the cursor math and that probe so the
-            # dominant (rejected) attempts cost a couple of dict/set
-            # lookups; the generic loop below stays the oracle. Free like
-            # orders stay generic: their media pick draws RNG *before*
-            # the has-liked rejection, so the probe cannot be hoisted.
-            if action_type is ActionType.FOLLOW:
-                self._fulfil_follow_fast(order, pool, budget)
-                return
-            if action_type is ActionType.LIKE and order.single_media is not None:
-                self._fulfil_like_single_fast(order, pool, budget)
-                return
-        if action_type is ActionType.LIKE:
-            deliver = self._deliver_like
-        elif action_type is ActionType.FOLLOW:
-            deliver = self._deliver_follow
-        else:
-            deliver = self._deliver_comment
+        # In a saturated network nearly every attempt is an RNG-free,
+        # effect-free rejection — a source that already follows (or
+        # already likes) the recipient, classified by a single probe.
+        # The FOLLOW and single-media LIKE loops inline the cursor math
+        # and that probe so the dominant (rejected) attempts cost a
+        # couple of dict/set lookups. Free like orders stay on the
+        # generic loop: their media pick draws RNG *before* the
+        # has-liked rejection, so the probe cannot be hoisted.
+        if action_type is ActionType.FOLLOW:
+            self._fulfil_follow(order, pool, budget)
+            return
+        if action_type is ActionType.LIKE and order.single_media is not None:
+            self._fulfil_like_single(order, pool, budget)
+            return
+        deliver = self._deliver_like if action_type is ActionType.LIKE else self._deliver_comment
         attempts = 0
         max_attempts = budget * 4
         while budget > 0 and attempts < max_attempts:
@@ -432,11 +411,11 @@ class CollusionNetworkService(AccountAutomationService):
                 # it — no instant retry storm against a blocking defender
                 budget -= 1
 
-    def _fulfil_follow_fast(self, order: Order, pool: list[CustomerRecord], budget: int) -> None:
-        """Fast-path FOLLOW fulfilment: same attempts, sources, outcomes,
-        and cursor positions as the generic loop over
-        :meth:`_deliver_follow`, with the already-following rejection
-        inlined (it draws no RNG and mutates nothing)."""
+    def _fulfil_follow(self, order: Order, pool: list[CustomerRecord], budget: int) -> None:
+        """FOLLOW fulfilment: same attempts, sources, outcomes, and cursor
+        positions as the generic per-attempt loop kept as a test oracle
+        (``tests/oracles/collusion.py``), with the already-following
+        rejection inlined (it draws no RNG and mutates nothing)."""
         # raw out-edge rows: `customer in row` is is_following() without
         # the method call (the scan probes once per attempt); the list is
         # live storage, so re-check its length each probe — deliveries
@@ -479,14 +458,14 @@ class CollusionNetworkService(AccountAutomationService):
                 budget -= 1
         self._source_cursor = cursor
 
-    def _fulfil_like_single_fast(
+    def _fulfil_like_single(
         self, order: Order, pool: list[CustomerRecord], budget: int
     ) -> None:
-        """Fast-path fulfilment of single-media like orders: same
-        attempts, sources, outcomes, attempt tallies, and cursor
-        positions as the generic loop over :meth:`_deliver_like`, with
-        the recipient-cap and already-liked rejections inlined (both are
-        RNG-free; only the cap check mutates nothing)."""
+        """Fulfilment of single-media like orders: same attempts,
+        sources, outcomes, attempt tallies, and cursor positions as the
+        generic loop over :meth:`_deliver_like`, with the recipient-cap
+        and already-liked rejections inlined (both are RNG-free; only
+        the cap check mutates nothing)."""
         media_id = order.single_media
         customer = order.customer
         has_liked = self.platform.media.has_liked

@@ -10,6 +10,7 @@ must not appear in the action log).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Real
 
 import numpy as np
 
@@ -38,6 +39,23 @@ DEFAULT_COUNTRY_WEIGHTS: dict[str, float] = {
 }
 
 
+def _check_range(name: str, value: object, upper: float | None = None) -> None:
+    """Reject anything but a ``(lo, hi)`` pair with ``0 <= lo <= hi``
+    (and ``hi <= upper`` when given), naming the field."""
+    ok = (
+        isinstance(value, (tuple, list))
+        and len(value) == 2
+        and all(isinstance(v, Real) for v in value)
+        and 0 <= value[0] <= value[1]
+        and (upper is None or value[1] <= upper)
+    )
+    if not ok:
+        bound = "" if upper is None else f" <= {upper}"
+        raise ValueError(
+            f"{name} must be a (lo, hi) pair with 0 <= lo <= hi{bound}, got {value!r}"
+        )
+
+
 @dataclass(frozen=True)
 class PopulationConfig:
     """Knobs for organic-population synthesis."""
@@ -64,6 +82,9 @@ class PopulationConfig:
     def __post_init__(self):
         if self.size <= 1:
             raise ValueError("population needs at least two accounts")
+        _check_range("media_per_account", self.media_per_account)
+        _check_range("check_rate", self.check_rate, upper=1.0)
+        _check_range("background_rate", self.background_rate)
         if not self.country_weights:
             raise ValueError("country_weights must be non-empty")
         if abs(sum(self.country_weights.values()) - 1.0) > 1e-6:

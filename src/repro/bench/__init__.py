@@ -1,11 +1,10 @@
 """The perf harness: ``python -m repro.bench``.
 
-Times the simulator's canonical hot paths — the tick loop at several
-population scales, attribution-sweep latency across the three classifier
-tiers, and the full ``run_standard`` pipeline — with warmup runs and
-repetitions, and writes one schema-versioned ``BENCH_<NAME>.json`` per
-scenario (see :mod:`repro.bench.schema` for the envelope and README for
-the field reference).
+Times attribution-sweep latency across the three classifier tiers and
+the fleet and sweep orchestrators' reuse against their baselines, with
+warmup runs and repetitions, and writes one schema-versioned
+``BENCH_<NAME>.json`` per scenario (see :mod:`repro.bench.schema` for
+the envelope and README for the field reference).
 
 This package is the one subtree allowed to read the wall clock: timings
 are reporting outputs that never feed back into simulation state, so

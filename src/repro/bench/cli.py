@@ -21,9 +21,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench",
         description=(
-            "perf harness: times the tick loop, attribution sweeps, and the "
-            "full pipeline; writes one schema-versioned BENCH_<NAME>.json "
-            "per scenario"
+            "perf harness: times attribution sweeps and fleet/sweep reuse; "
+            "writes one schema-versioned BENCH_<NAME>.json per scenario"
         ),
     )
     parser.add_argument(

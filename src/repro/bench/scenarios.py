@@ -1,21 +1,14 @@
 """The canonical benchmark scenarios.
 
-Three scenarios cover the hot paths the indexed/incremental fast path
-(DESIGN.md "Performance architecture") was built for:
+Three scenarios time what the end-to-end benchmark in ``perfbench/``
+(study wall time, actions/s, setup time, peak memory) does not break
+out:
 
-* ``tick_loop`` — raw simulation throughput (``Study.run_hours``) at
-  several population scales, timing-wheel fast path vs. the naive
-  reference loop.
 * ``sweep`` — attribution-sweep latency over a populated measurement
   window across the three classifier tiers: brute force over a
   materialized record list (the pre-index call pattern), the bucketed
   cold sweep over the indexed log, and the incremental sweep of an
   attached (streaming) classifier.
-* ``run_standard`` — wall time of the whole pipeline (honeypots →
-  signatures → measurement), fast path vs. naive.
-* ``world_build`` — ``Study(config)`` construction time, columnar
-  stores (DESIGN.md §11) vs. the set/list reference stores, up to 10x
-  the tiny preset's population.
 * ``fleet`` — the :mod:`repro.fleet` replication runner: a seeds ×
   intervention-arms sweep run serially with every replica rebuilding its
   prefix, vs. pooled with the world-snapshot prefix cache. The derived
@@ -32,11 +25,10 @@ Each scenario returns one schema-versioned payload
 ``BENCH_<SCENARIO>.json``. Smoke mode shrinks scales and repetitions to
 CI-friendly seconds while exercising every code path.
 
-Every payload embeds an ``observability`` key — the ``repro.obs``
-metrics snapshot of a representative timed study (the last fast-path
-study the scenario built) — so the timing numbers carry their
-explanatory context: index hit rates, sweep-tier counts, scheduler
-park/wake behavior.
+The ``sweep`` payload embeds an ``observability`` key — the
+``repro.obs`` metrics snapshot of the timed study — so the timing
+numbers carry their explanatory context: index hit rates, sweep-tier
+counts, scheduler park/wake behavior.
 """
 
 from __future__ import annotations
@@ -50,11 +42,9 @@ from repro.bench.harness import (
     Stats,
     peak_rss_kb,
     summarize,
-    time_interleaved,
     time_repeated,
 )
 from repro.bench.schema import SCHEMA_VERSION
-from repro.behavior.degree import DegreeDistribution
 from repro.core.config import StudyConfig
 from repro.core.study import Study
 from repro.detection.classifier import AASClassifier
@@ -133,56 +123,6 @@ def _envelope(
     return payload
 
 
-def _mode_label(fast: bool) -> str:
-    return "fast" if fast else "naive"
-
-
-# ----------------------------------------------------------------------
-# tick_loop — simulation throughput at several population scales
-# ----------------------------------------------------------------------
-
-def bench_tick_loop(smoke: bool, workers: int = 1) -> dict:
-    sizes = (260,) if smoke else (260, 520, 900)
-    hours = 24 if smoke else 48
-    warmup, repetitions = (0, 1) if smoke else (1, 3)
-    results = []
-    built: dict[bool, Study] = {}
-    for size in sizes:
-        def make_case(fast: bool, size: int = size) -> Callable[[], object]:
-            base = StudyConfig.tiny(seed=BENCH_SEED)
-            config = replace(
-                base,
-                fast_path=fast,
-                population=replace(base.population, size=size),
-            )
-            study = Study(config)
-            built[fast] = study
-            return lambda: study.run_hours(hours)
-
-        cases = {
-            _mode_label(fast): (lambda fast=fast: make_case(fast)) for fast in (True, False)
-        }
-        for label, samples in time_interleaved(cases, warmup, repetitions).items():
-            stats = summarize(samples, warmup)
-            results.append(
-                {
-                    "name": f"population-{size}-{label}",
-                    "stats": stats.as_dict(),
-                    "ticks_per_s": hours / stats.mean_s,
-                    "peak_rss_kb": peak_rss_kb(),
-                }
-            )
-    settings = {
-        "seed": BENCH_SEED,
-        "population_sizes": list(sizes),
-        "hours_per_run": hours,
-    }
-    return _envelope(
-        "tick_loop", smoke, settings, results,
-        observability=built[True].obs.metrics.snapshot(),
-    )
-
-
 # ----------------------------------------------------------------------
 # sweep — attribution latency: brute force vs. bucketed vs. incremental
 # ----------------------------------------------------------------------
@@ -212,7 +152,7 @@ def bench_sweep(smoke: bool, workers: int = 1) -> dict:
         return lambda: classifier.sweep(log, start_tick, end_tick)
 
     def incremental_case() -> Callable[[], object]:
-        # the study's own classifier streams from the log (fast path), so
+        # the study's own classifier streams from the log, so
         # this is the repeated-sweep pattern of the intervention phases
         classifier = study.classifier
         assert classifier is not None and classifier.attached_log is log
@@ -252,173 +192,6 @@ def bench_sweep(smoke: bool, workers: int = 1) -> dict:
     return _envelope(
         "sweep", smoke, settings, results, derived,
         observability=study.obs.metrics.snapshot(),
-    )
-
-
-# ----------------------------------------------------------------------
-# run_standard — the whole pipeline, fast path vs. naive
-# ----------------------------------------------------------------------
-
-def bench_run_standard(smoke: bool, workers: int = 1) -> dict:
-    """Time the whole pipeline fast vs naive at 1x and 10x population.
-
-    Full mode runs two scales of the tiny preset: the preset's own
-    population (260) and a 10x variant (2600). The 10x pair is the
-    headline ``speedup_fast_vs_naive`` — it demonstrates the scaled
-    acceptance claim directly: the fast path runs a standard study at
-    ten times today's population inside the wall-clock the reference
-    path needs for the same world. Smoke mode keeps the single-scale
-    shortened pipeline.
-    """
-    sizes = (260,) if smoke else (260, 2600)
-    # 5 repetitions in full mode: the fast-vs-naive separation here is a
-    # few percent, so the min-of-N estimator needs enough samples for
-    # both minima (and their runner-ups) to settle below that separation
-    warmup, repetitions = (0, 1) if smoke else (1, 5)
-    results = []
-    speedups: dict[int, dict] = {}
-    built: dict[bool, Study] = {}
-    for size in sizes:
-        def make_case(fast: bool, size: int = size) -> Callable[[], object]:
-            config = StudyConfig.tiny(seed=BENCH_SEED)
-            if smoke:
-                config = replace(config, honeypot_days=2, measurement_days=2)
-            config = replace(
-                config,
-                fast_path=fast,
-                population=replace(config.population, size=size),
-            )
-            study = Study(config)
-            built[fast] = study
-            return lambda: study.run_standard()
-
-        cases = {
-            _mode_label(fast): (lambda fast=fast: make_case(fast)) for fast in (True, False)
-        }
-        stats_by_mode: dict[str, Stats] = {}
-        for label, samples in time_interleaved(cases, warmup, repetitions).items():
-            stats = summarize(samples, warmup)
-            stats_by_mode[label] = stats
-            results.append(
-                {
-                    "name": f"run-standard-pop{size}-{label}",
-                    "stats": stats.as_dict(),
-                    "peak_rss_kb": peak_rss_kb(),
-                }
-            )
-        speedups[size] = _speedup(stats_by_mode["naive"], stats_by_mode["fast"])
-    headline_size = max(sizes)
-    derived: dict = {
-        f"speedup_fast_vs_naive_pop{headline_size}": speedups[headline_size],
-        #: the headline (and the scaled acceptance claim): the largest scale
-        "speedup_fast_vs_naive": speedups[headline_size],
-    }
-    # At the preset's own scale the fast/naive separation sits inside
-    # run-to-run jitter (noise_cv ~ 0.1 on a shared runner), so the
-    # small-population ratios are context, not gated claims: nesting them
-    # under ``informational`` keeps them out of the top-level
-    # ``speedup_*`` namespace the CI noise-floor gate scans.
-    informational = {
-        f"speedup_fast_vs_naive_pop{size}": entry
-        for size, entry in speedups.items()
-        if size != headline_size
-    }
-    if informational:
-        derived["informational"] = informational
-    settings = {
-        "seed": BENCH_SEED,
-        "preset": "tiny",
-        "population_sizes": list(sizes),
-        "scaled_population_multiple": max(sizes) / 260,
-    }
-    return _envelope(
-        "run_standard", smoke, settings, results, derived,
-        observability=built[True].obs.metrics.snapshot(),
-    )
-
-
-# ----------------------------------------------------------------------
-# world_build — Study construction, columnar stores vs reference stores
-# ----------------------------------------------------------------------
-
-#: the world_build wiring knobs: a follower-graph-heavy population.
-#: The tiny preset's default build is ~85% profile/media synthesis —
-#: work both store modes share — so at default degrees the store
-#: difference drowns in mode-independent cost. Raising the out-degree
-#: median (40 → 200) and thinning media per account shifts the build's
-#: weight onto graph wiring, the work the columnar stores actually
-#: change, without touching what the stores are asked to do per edge.
-_BUILD_DEGREE_MEDIAN = 200.0
-_BUILD_MEDIA_PER_ACCOUNT = (2, 6)
-
-
-def bench_world_build(smoke: bool, workers: int = 1) -> dict:
-    """Time world construction (``Study(config)``) fast vs naive.
-
-    The build is where the columnar graph's ``bulk_follow_new`` wiring
-    (one ``dict.fromkeys`` row per account + flat CSR edge columns) pays
-    off against the per-edge set-insert reference path. The workload is
-    deliberately wiring-heavy (see the module-level knobs above): it
-    times the store-differentiated part of the build rather than the
-    mode-independent synthesis that dominates the default preset. The
-    largest full-mode size (2600) is 10x the tiny preset's population —
-    the scale where the columnar advantage clears the noise floor
-    decisively; smoke mode uses the mid size for the same reason (at 260
-    the store difference is inside jitter on a busy CI runner).
-    """
-    sizes = (900,) if smoke else (260, 900, 2600)
-    warmup, repetitions = (1, 3) if smoke else (1, 5)
-    results = []
-    speedups: dict[int, dict] = {}
-    built: dict[bool, Study] = {}
-    for size in sizes:
-        def make_case(fast: bool, size: int = size) -> Callable[[], object]:
-            base = StudyConfig.tiny(seed=BENCH_SEED)
-            config = replace(
-                base,
-                fast_path=fast,
-                population=replace(
-                    base.population,
-                    size=size,
-                    out_degree=DegreeDistribution(median=_BUILD_DEGREE_MEDIAN, sigma=1.0),
-                    media_per_account=_BUILD_MEDIA_PER_ACCOUNT,
-                ),
-            )
-            return lambda: built.__setitem__(fast, Study(config))
-
-        cases = {
-            _mode_label(fast): (lambda fast=fast: make_case(fast)) for fast in (True, False)
-        }
-        stats_by_mode: dict[str, Stats] = {}
-        for label, samples in time_interleaved(cases, warmup, repetitions).items():
-            stats = summarize(samples, warmup)
-            stats_by_mode[label] = stats
-            results.append(
-                {
-                    "name": f"population-{size}-{label}",
-                    "stats": stats.as_dict(),
-                    "accounts_per_s": size / stats.mean_s,
-                    "peak_rss_kb": peak_rss_kb(),
-                }
-            )
-        speedups[size] = _speedup(stats_by_mode["naive"], stats_by_mode["fast"])
-    derived: dict = {
-        f"speedup_columnar_vs_naive_pop{size}": entry
-        for size, entry in speedups.items()
-    }
-    #: the headline number (and CI's noise-floor gate): the largest size
-    derived["speedup_columnar_vs_naive"] = speedups[max(sizes)]
-    settings = {
-        "seed": BENCH_SEED,
-        "population_sizes": list(sizes),
-        "preset": "tiny",
-        "tiny_population_multiple": max(sizes) / 260,
-        "out_degree_median": _BUILD_DEGREE_MEDIAN,
-        "media_per_account": list(_BUILD_MEDIA_PER_ACCOUNT),
-    }
-    return _envelope(
-        "world_build", smoke, settings, results, derived,
-        observability=built[True].obs.metrics.snapshot(),
     )
 
 
@@ -732,10 +505,7 @@ def bench_sweep_orch(smoke: bool, workers: int = 1) -> dict:
 
 #: scenario name -> builder(smoke, workers), in emission order
 SCENARIOS: dict[str, Callable[..., dict]] = {
-    "tick_loop": bench_tick_loop,
     "sweep": bench_sweep,
-    "run_standard": bench_run_standard,
-    "world_build": bench_world_build,
     "fleet": bench_fleet,
     "sweep_orch": bench_sweep_orch,
 }

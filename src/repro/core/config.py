@@ -131,11 +131,6 @@ class StudyConfig:
     #: Instalex's curated recipient list: the share of its like targets
     #: drawn from the curated pool rather than ordinary targeting
     curated_mix_fraction: float = 0.7
-    #: run the indexed/incremental hot paths: timing-wheel agent
-    #: scheduling in Study.tick and streaming log attribution. Results
-    #: are bit-identical either way (test-enforced); False keeps the
-    #: naive reference loops for equivalence testing and debugging.
-    fast_path: bool = True
     #: collect repro.obs telemetry (metrics + tick-pinned phase spans).
     #: Telemetry is write-only — simulation results are bit-identical
     #: either way (test-enforced); False skips instrument registration
@@ -154,8 +149,17 @@ class StudyConfig:
     migration_patience_days: int = 14
 
     def __post_init__(self):
-        if self.measurement_days < 1 or self.honeypot_days < 1:
-            raise ValueError("phase durations must be positive")
+        for name in ("honeypot_days", "measurement_days"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)!r}")
+        for name in (
+            "honeypots_empty_per_batch",
+            "honeypots_lived_in_per_batch",
+            "inactive_honeypots",
+            "migration_patience_days",
+        ):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)!r}")
         if not 0.0 <= self.vpn_fraction <= 1.0:
             raise ValueError("vpn_fraction must be a probability")
         if self.quantity_scale <= 0:

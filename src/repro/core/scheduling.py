@@ -13,10 +13,11 @@ the seeded results. Only agents whose idle tick is verifiably a no-op
 (no RNG, no platform calls) may park themselves; the collusion-honeypot
 driver is the canonical example. The equivalence test in
 ``tests/test_core_fastpath_equivalence.py`` enforces that the wheel and
-the naive loop produce bit-identical studies.
+the plain per-agent loop kept as a test oracle
+(``tests/oracles/study.py``) produce bit-identical studies.
 
 Within a tick, due agents always run in registration order, which the
-study keeps identical to the naive loop's visit order.
+study keeps identical to that loop's visit order.
 
 ``core.scheduler.agent_runs`` — one increment per agent actually run —
 doubles as the scheduler's work unit for the cost profiler

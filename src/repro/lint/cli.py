@@ -62,7 +62,7 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=(
             "also build the project index and run the cross-module rules "
-            "(API003/API004, SNAP001-003, OBS002)"
+            "(API003, SNAP001-003, OBS002)"
         ),
     )
     parser.add_argument(

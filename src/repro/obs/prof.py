@@ -48,9 +48,10 @@ COST_KINDS: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
     # platform.actionlog namespace, and first-match order is what keeps
     # it out of the "log" bucket. Rows appended via a batch still charge
     # the ordinary per-row "log" units (appends/column_appends), so the
-    # "log" kind is identical whether batching is on or off; "log_batch"
-    # measures the batching machinery itself and — like "sched", which
-    # only the wheel emits — is zero when the feature is off.
+    # "log" kind is identical whether rows arrive batched or one at a
+    # time; "log_batch" measures the batching machinery itself and is
+    # zero for work that takes the scalar path (e.g. while a
+    # countermeasure policy is installed, DESIGN.md §15).
     ("log_batch", ("platform.actionlog.batch_rows",)),
     ("log", ("platform.actionlog.",)),
     ("graph", ("platform.graph.",)),

@@ -17,7 +17,7 @@ client actions."
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 from repro.netsim.client import ClientEndpoint
 from repro.platform.auth import Session
@@ -80,50 +80,6 @@ class _BaseAPI:
     ) -> tuple[ActionRecord, Media]:
         self._charge(session)
         return self._platform.post(session, endpoint, caption=caption, hashtags=hashtags, api=self.surface)
-
-    def submit_batch(
-        self, session: Session, requests: Sequence[tuple], endpoint: ClientEndpoint
-    ) -> list:
-        """Submit one client's burst of actions as a single request.
-
-        ``requests`` holds ``("like", media_id)``, ``("follow", target)``,
-        ``("unfollow", target)`` and ``("comment", media_id, text)``
-        tuples, dispatched in order. The rate limiter is charged for the
-        whole burst in one :meth:`SlidingWindowLimiter.allow_batch` call —
-        the same quota bookkeeping as per-action charging — and the
-        granted prefix executes inside the platform's action-batch scope,
-        so the log appends land via the bulk path. If the window cannot
-        cover the burst, the granted prefix still executes (exactly what
-        a per-action loop would have delivered before hitting the limit)
-        and :class:`RateLimitExceededError` is raised afterwards.
-
-        Returns the per-request results (records; ``None`` per row while
-        an enclosing batch scope defers materialization).
-        """
-        n = len(requests)
-        granted = self._limiter.allow_batch(session.account_id, self._platform.clock.now, n)
-        platform = self._platform
-        results: list = []
-        with platform.action_batch():
-            for kind, *args in requests[:granted]:
-                if kind == "like":
-                    results.append(platform.like(session, args[0], endpoint, api=self.surface))
-                elif kind == "follow":
-                    results.append(platform.follow(session, args[0], endpoint, api=self.surface))
-                elif kind == "unfollow":
-                    results.append(platform.unfollow(session, args[0], endpoint, api=self.surface))
-                elif kind == "comment":
-                    results.append(
-                        platform.comment(session, args[0], args[1], endpoint, api=self.surface)
-                    )
-                else:
-                    raise ValueError(f"unknown batch request kind {kind!r}")
-        if granted < n:
-            raise RateLimitExceededError(
-                f"account {session.account_id} exceeded {self.surface.value} rate limit "
-                f"({granted}/{n} batch requests granted)"
-            )
-        return results
 
 
 class PublicGraphAPI(_BaseAPI):

@@ -1,4 +1,4 @@
-"""Struct-of-arrays storage for the action log's columnar mode.
+"""Struct-of-arrays storage for the action log.
 
 One logged action is a row across parallel stdlib ``array`` columns plus
 two interned side tables (endpoints and signature keys). Compared to a

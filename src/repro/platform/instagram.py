@@ -28,7 +28,7 @@ from repro.platform.errors import (
     InvalidActionError,
     UnknownAccountError,
 )
-from repro.platform.graph import FollowerGraph, SetFollowerGraph
+from repro.platform.graph import FollowerGraph
 from repro.platform.mediastore import MediaStore
 from repro.platform.models import (
     Account,
@@ -45,22 +45,6 @@ from repro.platform.notifications import Notification, NotificationCenter
 from repro.util.timeutils import days
 
 
-class _PendingBatch:
-    """Deferred log rows for one open action-batch scope.
-
-    ``base`` is the log length at scope entry (or after the last
-    intra-scope flush): pending row *i* will become action id
-    ``base + i``, which is how the facade hands out final action ids —
-    for notifications, e.g. — before the rows are written.
-    """
-
-    __slots__ = ("base", "rows")
-
-    def __init__(self, base: int):
-        self.base = base
-        self.rows: list[tuple] = []
-
-
 class InstagramPlatform:
     """The simulated social network."""
 
@@ -69,30 +53,25 @@ class InstagramPlatform:
         clock: Optional[SimClock] = None,
         removal_delay_ticks: int = days(1),
         obs: Optional[Observability] = None,
-        fast_path: bool = False,
     ):
         self.clock = clock if clock is not None else SimClock()
         #: telemetry handle; platform-adjacent layers (action log, API
         #: limiters, AAS emission counters) pick their instruments off it
         self.obs = obs if obs is not None else NULL_OBS
-        #: columnar data plane (DESIGN.md §11): the SoA follower graph and
-        #: column-backed action log. Off by default so bare platforms run
-        #: the brute-force reference stores — the bit-equivalence oracle;
-        #: ``Study`` forwards its ``StudyConfig.fast_path`` switch here.
-        self.fast_path = fast_path
         self.auth = AuthService()
-        self.graph = (
-            FollowerGraph(obs=self.obs) if fast_path else SetFollowerGraph(obs=self.obs)
-        )
-        self.media = MediaStore(cache_owner_views=fast_path)
-        self.log = ActionLog(obs=self.obs, columnar=fast_path)
+        #: the columnar data plane (DESIGN.md §11): the SoA follower graph
+        #: and the column-backed action log
+        self.graph = FollowerGraph(obs=self.obs)
+        self.media = MediaStore()
+        self.log = ActionLog(obs=self.obs)
         self.notifications = NotificationCenter()
         self.countermeasures = CountermeasureEngine(self.clock, removal_delay_ticks)
-        #: whether :meth:`action_batch` scopes actually defer (DESIGN.md
-        #: §15). On by default on the fast path; the equivalence suite
-        #: toggles it off to prove batching changes nothing.
-        self.batching = fast_path
-        self._batch: Optional[_PendingBatch] = None
+        #: deferred log rows of the open :meth:`action_batch` scope
+        #: (DESIGN.md §15): :meth:`ActionLog.log_action` argument tuples.
+        #: Every scalar append flushes them first, so pending row *i*
+        #: becomes action id ``len(self.log) + i`` — how the facade hands
+        #: out final action ids (for notifications) before rows land.
+        self._batch: Optional[list[tuple]] = None
         self._accounts: dict[AccountId, Account] = {}
         self._by_username: dict[str, AccountId] = {}
         self._account_ids = itertools.count(1)
@@ -181,29 +160,23 @@ class InstagramPlatform:
         order with the same action ids the per-action path would have
         assigned.
 
-        The scope only defers when it can do so invisibly: batching must
-        be enabled, the log columnar, and no countermeasure policy
-        installed (policies need per-action contexts, BLOCK rows, and
-        removal scheduling — the scalar path). Otherwise, and when
-        nested inside an open scope, this is a no-op context. Policies
-        are only ever (un)installed between agent runs, so the entry
-        check cannot go stale mid-scope.
+        The scope only defers when it can do so invisibly: no
+        countermeasure policy may be installed (policies need per-action
+        contexts, BLOCK rows, and removal scheduling — the scalar path).
+        Otherwise, and when nested inside an open scope, this is a no-op
+        context. Policies are only ever (un)installed between agent runs,
+        so the entry check cannot go stale mid-scope.
         """
-        if (
-            self._batch is not None
-            or not self.batching
-            or self.countermeasures.has_policies
-            or not self.log.columnar
-        ):
+        if self._batch is not None or self.countermeasures.has_policies:
             yield
             return
-        batch = self._batch = _PendingBatch(self.log.next_id())
+        self._batch = []
         try:
             yield
         finally:
-            self._batch = None
-            if batch.rows:
-                self.log.append_batch(batch.rows)
+            rows, self._batch = self._batch, None
+            if rows:
+                self.log.append_batch(rows)
 
     def _flush_batch(self) -> None:
         """Write pending rows out mid-scope, preserving log order.
@@ -212,11 +185,9 @@ class InstagramPlatform:
         post, and any path needing a materialized record): their scalar
         append must not overtake rows already submitted in this scope.
         """
-        batch = self._batch
-        if batch is not None and batch.rows:
-            self.log.append_batch(batch.rows)
-            batch.rows = []
-            batch.base = self.log.next_id()
+        if self._batch:
+            self.log.append_batch(self._batch)
+            self._batch = []
 
     # ------------------------------------------------------------------
     # Social actions
@@ -259,11 +230,10 @@ class InstagramPlatform:
         target_account: Optional[AccountId],
         target_media: Optional[MediaId],
     ) -> CountermeasureDecision:
-        if self.fast_path and not self.countermeasures.has_policies:
+        if not self.countermeasures.has_policies:
             # with no policy installed every decision is vacuously ALLOW
-            # (and decide() is side-effect free), so the fast path skips
-            # building the frozen per-action context; the naive path
-            # keeps exercising the full decision machinery as the oracle
+            # and decide() is side-effect free (unit-tested), so skip
+            # building the frozen per-action context
             return CountermeasureDecision.ALLOW
         context = ActionContext(
             actor=actor,
@@ -310,7 +280,7 @@ class InstagramPlatform:
         """Like a media item; notifies the owner."""
         batch = self._batch
         if batch is not None:
-            # batched fast path: same checks and mutations in the same
+            # batched path: same checks and mutations in the same
             # order (validate, account/media lookups, dup-like reject,
             # vacuous ALLOW, like, notify) with the log row deferred
             actor = self.auth.validate(session)
@@ -319,10 +289,9 @@ class InstagramPlatform:
                 raise UnknownAccountError(f"account {actor} not found")
             media = self.media.like_new(media_id, actor)
             owner = media.owner
-            rows = batch.rows
-            action_id = batch.base + len(rows)
+            action_id = len(self.log) + len(batch)
             tick = self.clock.now
-            rows.append(
+            batch.append(
                 (
                     ActionType.LIKE,
                     actor,
@@ -391,10 +360,9 @@ class InstagramPlatform:
             if self.graph.is_following(actor, target):
                 raise InvalidActionError(f"{actor} already follows {target}")
             self.graph.follow(actor, target)
-            rows = batch.rows
-            action_id = batch.base + len(rows)
+            action_id = len(self.log) + len(batch)
             tick = self.clock.now
-            rows.append(
+            batch.append(
                 (
                     ActionType.FOLLOW,
                     actor,

@@ -6,15 +6,10 @@ abusive use" (Section 2). We model it with a sliding-window limiter per
 limits are far looser — which is exactly why the paper's countermeasures
 had to be built on behavioural thresholds instead.
 
-Storage is vectorized for the batch pipeline (DESIGN.md §15): instead of
-one deque entry *per charged event* — which the old implementation
-evicted one ``popleft`` at a time as the window slid — each key keeps
-``(tick, count)`` buckets plus a running window total. Charging within
-a tick is an integer bump on the newest bucket, eviction pops whole
-buckets, and :meth:`allow_batch` charges n attempts in one call with
-exactly the decision sequence n :meth:`allow` calls would produce
-(denied attempts consume no quota, so once the window fills every
-subsequent same-tick attempt is denied too).
+Each key keeps ``(tick, count)`` buckets plus a running window total
+rather than one deque entry per charged event: charging within a tick
+is an integer bump on the newest bucket, and eviction pops whole
+buckets as the window slides.
 """
 
 from __future__ import annotations
@@ -67,13 +62,13 @@ class SlidingWindowLimiter:
         self._totals[key] = total
         return total
 
-    def _charge(self, key: Hashable, now: int, count: int) -> None:
+    def _charge(self, key: Hashable, now: int) -> None:
         buckets = self._buckets[key]
         if buckets and buckets[-1][0] == now:
-            buckets[-1] = (now, buckets[-1][1] + count)
+            buckets[-1] = (now, buckets[-1][1] + 1)
         else:
-            buckets.append((now, count))
-        self._totals[key] += count
+            buckets.append((now, 1))
+        self._totals[key] += 1
 
     def allow(self, key: Hashable, now: int) -> bool:
         """Record an attempt at tick ``now``; True if under the limit.
@@ -83,30 +78,9 @@ class SlidingWindowLimiter:
         if self._window_total(key, now) >= self.limit:
             self._obs_rejected.inc()
             return False
-        self._charge(key, now, 1)
+        self._charge(key, now)
         self._obs_allowed.inc()
         return True
-
-    def allow_batch(self, key: Hashable, now: int, count: int) -> int:
-        """Charge ``count`` attempts at tick ``now`` in one call.
-
-        Returns how many were granted: the first ``granted`` attempts
-        succeed, the rest are denied — byte-identical bookkeeping to
-        ``count`` scalar :meth:`allow` calls, including the decision
-        counters, but with one eviction pass and one bucket write.
-        """
-        if count < 0:
-            raise ValueError("count must be non-negative")
-        if count == 0:
-            return 0
-        total = self._window_total(key, now)
-        granted = min(count, max(self.limit - total, 0))
-        if granted:
-            self._charge(key, now, granted)
-            self._obs_allowed.add(granted)
-        if count > granted:
-            self._obs_rejected.add(count - granted)
-        return granted
 
     def remaining(self, key: Hashable, now: int) -> int:
         """How many further events the key may emit at tick ``now``."""

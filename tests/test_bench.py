@@ -16,7 +16,7 @@ from repro.bench.schema import SCHEMA_VERSION, validate_payload
 def _valid_payload() -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
-        "benchmark": "tick_loop",
+        "benchmark": "sweep",
         "mode": "smoke",
         "settings": {"seed": 42},
         "results": [
@@ -211,17 +211,16 @@ class TestCli:
     def test_smoke_run_emits_valid_file(
         self, tmp_path: Path, capsys: pytest.CaptureFixture
     ) -> None:
-        assert main(["--smoke", "--only", "tick_loop", "--out-dir", str(tmp_path)]) == 0
-        path = tmp_path / bench_file_name("tick_loop")
+        assert main(["--smoke", "--only", "sweep", "--out-dir", str(tmp_path)]) == 0
+        path = tmp_path / bench_file_name("sweep")
         assert path.exists()
         payload = json.loads(path.read_text(encoding="utf-8"))
         assert validate_payload(payload) == []
         assert payload["mode"] == "smoke"
         names = [result["name"] for result in payload["results"]]
-        assert any(name.endswith("-fast") for name in names)
-        assert any(name.endswith("-naive") for name in names)
-        assert all(result["ticks_per_s"] > 0 for result in payload["results"])
-        # every scenario payload carries the timed study's obs snapshot
+        assert names == ["cold-brute-force", "cold-bucketed", "incremental"]
+        assert all(result["stats"]["best_s"] > 0 for result in payload["results"])
+        # the payload carries the timed study's obs snapshot
         snapshot = payload["observability"]
         appended = {
             entry["name"]: entry.get("value") for entry in snapshot["metrics"]

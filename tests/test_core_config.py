@@ -1,5 +1,7 @@
 """Tests for study configuration presets."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.config import ServicePlans, StudyConfig, resolve_workers
@@ -55,6 +57,32 @@ class TestPresets:
         plans = ServicePlans(followersgratis=None)
         config = StudyConfig(plans=plans)
         assert config.plans.followersgratis is None
+
+
+_BAD_FIELDS = [
+    ("honeypot_days", 0),
+    ("measurement_days", 0),
+    ("honeypots_empty_per_batch", -3),
+    ("honeypots_lived_in_per_batch", -1),
+    ("inactive_honeypots", -2),
+    ("migration_patience_days", -1),
+    ("population.media_per_account", (6, 2)),
+    ("population.check_rate", (0.1, 1.5)),
+    ("population.background_rate", -1),
+]
+
+
+@pytest.mark.parametrize("name, value", _BAD_FIELDS, ids=[name for name, _ in _BAD_FIELDS])
+def test_bad_field_rejected_at_construction(name, value):
+    """Bad config fails in the constructor with a ValueError naming the
+    field, never later inside the simulation."""
+    config = StudyConfig.tiny()
+    field = name.rpartition(".")[2]
+    with pytest.raises(ValueError, match=field):
+        if name.startswith("population."):
+            replace(config, population=replace(config.population, **{field: value}))
+        else:
+            replace(config, **{field: value})
 
 
 class TestResolveWorkers:

@@ -1,11 +1,14 @@
-"""The fast path must be bit-identical to the naive reference loops.
+"""The production study must be bit-identical to the naive oracle study.
 
-Two studies share a seed and differ only in ``fast_path``: one runs the
-timing wheel + bucketed/streaming attribution, the other the naive
-per-tick loop and brute-force sweeps. Every observable — the raw action
-log, attribution, analytics tables, intervention outcomes — must match
-exactly. This is the determinism contract of DESIGN.md's "Performance
-architecture" section.
+Two studies share a seed. One is the production pipeline: timing
+wheel, columnar stores, batched appends, memoized organic and collusion
+loops, streaming attribution. The other runs with every reference
+implementation from ``tests/oracles`` patched in (the naive per-agent
+tick loop, the set-backed graph, the list-backed log, the naive organic
+and collusion loops, an unattached classifier). Every observable — the
+raw action log, attribution, analytics tables, intervention outcomes —
+must match exactly. This is the determinism contract of DESIGN.md's
+"Performance architecture" section.
 """
 
 from __future__ import annotations
@@ -18,40 +21,51 @@ from repro.core import Study, StudyConfig
 from repro.core import experiments as E
 from repro.core import reporting as R
 from repro.interventions.experiment import BroadInterventionPlan
+from repro.platform.actions import ActionLog
+from repro.platform.graph import FollowerGraph
+
+from tests.oracles.actionlog import ListActionLog
+from tests.oracles.graph import SetFollowerGraph
+from tests.oracles.study import install_oracles
 
 
-def _config(fast: bool, observability: bool = True) -> StudyConfig:
+def _config(observability: bool = True) -> StudyConfig:
     return replace(
         StudyConfig.tiny(seed=314),
         honeypot_days=3,
         measurement_days=3,
-        fast_path=fast,
         observability=observability,
     )
 
 
+def _run_pipeline(config: StudyConfig) -> tuple[Study, tuple]:
+    study = Study(config)
+    results = study.run_honeypot_phase()
+    study.learn_signatures()
+    stability = study.verify_signal_stability(probe_days=1)
+    dataset = study.run_measurement()
+    broad = study.run_broad_intervention(
+        BroadInterventionPlan(delay_days=1, block_days=1), calibration_days=2
+    )
+    return study, (results, stability, dataset, broad)
+
+
 @pytest.fixture(scope="module")
 def pair():
+    """Keyed ``True`` for the production run, ``False`` for the oracle run."""
     studies = {}
     outcomes = {}
-    for fast in (True, False):
-        study = Study(_config(fast))
-        results = study.run_honeypot_phase()
-        study.learn_signatures()
-        stability = study.verify_signal_stability(probe_days=1)
-        dataset = study.run_measurement()
-        broad = study.run_broad_intervention(
-            BroadInterventionPlan(delay_days=1, block_days=1), calibration_days=2
-        )
-        studies[fast] = study
-        outcomes[fast] = (results, stability, dataset, broad)
+    studies[True], outcomes[True] = _run_pipeline(_config())
+    with pytest.MonkeyPatch.context() as mp:
+        install_oracles(mp)
+        studies[False], outcomes[False] = _run_pipeline(_config())
     return studies, outcomes
 
 
 @pytest.fixture(scope="module")
 def dark(pair):
-    """The fast pipeline rerun with ``observability=False``."""
-    study = Study(_config(fast=True, observability=False))
+    """The production pipeline rerun with ``observability=False``."""
+    study = Study(_config(observability=False))
     study.run_honeypot_phase()
     study.learn_signatures()
     study.verify_signal_stability(probe_days=1)
@@ -151,9 +165,16 @@ def test_wheel_parks_collusion_driver_after_expiry(pair) -> None:
     assert study._wheel.scheduled_tick("organic") == study.clock.now
 
 
-def test_naive_study_builds_no_wheel(pair) -> None:
+def test_oracle_study_runs_the_reference_stores(pair) -> None:
+    """The patch reached the naive run, and only the naive run."""
     studies, _ = pair
-    assert studies[False]._wheel is None
+    naive, fast = studies[False], studies[True]
+    assert isinstance(naive.platform.log, ListActionLog)
+    assert isinstance(naive.platform.graph, SetFollowerGraph)
+    assert naive.classifier is not None and naive.classifier.attached_log is None
+    assert isinstance(fast.platform.log, ActionLog)
+    assert isinstance(fast.platform.graph, FollowerGraph)
+    assert fast.classifier is not None and fast.classifier.attached_log is fast.platform.log
 
 
 # ----------------------------------------------------------------------
@@ -205,8 +226,8 @@ def test_span_streams_identical_across_modes(pair) -> None:
 
 @pytest.fixture(scope="module")
 def profiled(pair):
-    """The fast pipeline rerun with the cost profiler attached."""
-    study = Study(replace(_config(fast=True), profile=True))
+    """The production pipeline rerun with the cost profiler attached."""
+    study = Study(replace(_config(), profile=True))
     study.run_honeypot_phase()
     study.learn_signatures()
     study.verify_signal_stability(probe_days=1)
@@ -253,7 +274,7 @@ def test_profiled_cost_tree_is_seed_deterministic(profiled) -> None:
     from repro.obs import canonical_lines
 
     profiled_study, _ = profiled
-    rerun = Study(replace(_config(fast=True), profile=True))
+    rerun = Study(replace(_config(), profile=True))
     rerun.run_honeypot_phase()
     rerun.learn_signatures()
     rerun.verify_signal_stability(probe_days=1)

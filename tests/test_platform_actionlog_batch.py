@@ -2,13 +2,14 @@
 
 ``append_batch(rows)`` must be semantically identical to
 ``for row in rows: log_action(*row)`` — same ids, same field values,
-same index answers, same observer stream — in both storage modes. These
-tests replay one randomized op sequence (batches of varying size,
-scalar appends, and mark_removed calls interleaved) into three logs:
+same index answers, same observer stream. These tests replay one
+randomized op sequence (batches of varying size, scalar appends, and
+mark_removed calls interleaved) into three logs:
 
 * a columnar log fed through ``append_batch`` (the system under test),
-* a columnar log fed row-by-row (the intra-mode scalar oracle),
-* a reference (list-backed) log fed row-by-row (the storage oracle),
+* a columnar log fed row-by-row (the scalar oracle),
+* the list-backed ``tests/oracles`` log fed row-by-row (the storage
+  oracle),
 
 and assert every query agrees — including the out-of-order fallback
 (ticks drawn unsorted, so the bisect paths must degrade to scans) and
@@ -23,6 +24,7 @@ from repro.platform.actions import ActionLog, ActionView
 from repro.platform.models import ActionStatus, ActionType, ApiSurface
 from repro.util.rng import derive_rng
 
+from tests.oracles.actionlog import ListActionLog
 from tests.test_platform_columnar_log import (
     _ENDPOINTS,
     _assert_queries_equivalent,
@@ -86,7 +88,7 @@ def _script(seed: int, steps: int, monotonic: bool):
     return ops
 
 
-def _apply(log: ActionLog, ops, batched: bool) -> None:
+def _apply(log: ActionLog | ListActionLog, ops, batched: bool) -> None:
     for op in ops:
         if op[0] == "batch":
             if batched:
@@ -103,9 +105,9 @@ def _apply(log: ActionLog, ops, batched: bool) -> None:
 
 def _triple(seed: int, monotonic: bool, steps: int = 120):
     ops = _script(seed, steps, monotonic)
-    batched = ActionLog(columnar=True)
-    scalar_cols = ActionLog(columnar=True)
-    ref = ActionLog(columnar=False)
+    batched = ActionLog()
+    scalar_cols = ActionLog()
+    ref = ListActionLog()
     _apply(batched, ops, batched=True)
     _apply(scalar_cols, ops, batched=False)
     _apply(ref, ops, batched=False)
@@ -130,7 +132,7 @@ class TestAppendBatchEquivalence:
         _assert_queries_equivalent(batched, ref)
 
     def test_empty_batch_is_a_noop(self):
-        log = ActionLog(columnar=True)
+        log = ActionLog()
         assert log.append_batch([]) == 0
         log.log_action(
             ActionType.LIKE, 1, 0, _ENDPOINTS[0],
@@ -140,10 +142,10 @@ class TestAppendBatchEquivalence:
         assert len(log) == 1
 
     def test_reference_mode_batch_is_the_scalar_loop(self):
-        """In reference mode the batch call *is* the oracle loop."""
+        """The oracle log's batch call *is* the scalar loop."""
         ops = _script(7, 60, monotonic=True)
-        via_batch = ActionLog(columnar=False)
-        via_scalar = ActionLog(columnar=False)
+        via_batch = ListActionLog()
+        via_scalar = ListActionLog()
         _apply(via_batch, ops, batched=True)
         _apply(via_scalar, ops, batched=False)
         assert _rows(iter(via_batch)) == _rows(iter(via_scalar))
@@ -152,8 +154,8 @@ class TestAppendBatchEquivalence:
     def test_pickle_roundtrip_mid_sequence(self, monotonic):
         ops = _script(3, 120, monotonic)
         half = len(ops) // 2
-        batched = ActionLog(columnar=True)
-        ref = ActionLog(columnar=False)
+        batched = ActionLog()
+        ref = ListActionLog()
         _apply(batched, ops[:half], batched=True)
         _apply(ref, ops[:half], batched=False)
         batched = pickle.loads(pickle.dumps(batched))
@@ -167,8 +169,8 @@ class TestAppendBatchEquivalence:
         """Per-row observers and bulk batch observers see the same rows,
         in append order, as the scalar oracle's observers."""
         ops = _script(11, 80, monotonic=True)
-        batched = ActionLog(columnar=True)
-        scalar_cols = ActionLog(columnar=True)
+        batched = ActionLog()
+        scalar_cols = ActionLog()
         seen_plain, seen_bulk, seen_scalar = [], [], []
         batched.add_observer(lambda r: seen_plain.append(_row(r)))
 
@@ -196,9 +198,9 @@ class TestAppendBatchEquivalence:
             )
             for t in range(10)
         ]
-        batched = ActionLog(columnar=True)
+        batched = ActionLog()
         batched.append_batch(rows)
-        scalar = ActionLog(columnar=True)
+        scalar = ActionLog()
         for row in rows:
             scalar.log_action(*row)
         asn = _ENDPOINTS[0].asn

@@ -34,6 +34,29 @@ class TestCountermeasureEngine:
         engine = CountermeasureEngine(SimClock())
         assert engine.decide(make_context()) is CountermeasureDecision.ALLOW
 
+    def test_no_policy_decide_is_allow_and_side_effect_free(self):
+        """The platform skips decide() when no policy is installed; that
+        shortcut is sound only because this call changes nothing."""
+        clock = SimClock()
+        engine = CountermeasureEngine(clock)
+
+        def state():
+            return (
+                sorted(vars(engine)),
+                engine.blocked_count,
+                engine.delayed_removal_count,
+                list(engine._policies),
+                clock.now,
+                list(clock._schedule),
+            )
+
+        before = state()
+        for tick, action_type in enumerate(ActionType):
+            context = make_context(actor=tick + 1, action_type=action_type, tick=tick)
+            assert engine.decide(context) is CountermeasureDecision.ALLOW
+        assert state() == before
+        assert not engine.has_policies
+
     def test_strictest_policy_wins(self):
         engine = CountermeasureEngine(SimClock())
         engine.add_policy(_FixedPolicy(CountermeasureDecision.DELAY_REMOVE))

@@ -1,20 +1,22 @@
-"""Property tests: columnar FollowerGraph vs the set-backed reference.
+"""Property tests: columnar FollowerGraph vs the set-backed oracle.
 
 Drive both graph implementations through identical randomized op
 sequences and assert every query answers identically. The columnar
-graph is the fast path's store; the reference is what the naive
-execution mode runs, so any divergence here would break the study-level
-bit-equivalence guarantee.
+graph is the production store; the oracle
+(``tests/oracles/graph.py``) is what the study-level oracle run uses,
+so any divergence here would break the study-level bit-equivalence
+guarantee.
 """
 
 import pickle
 
-import numpy as np
 import pytest
 
 from repro.platform.errors import InvalidActionError
-from repro.platform.graph import FollowerGraph, SetFollowerGraph
+from repro.platform.graph import FollowerGraph
 from repro.util.rng import derive_rng
+
+from tests.oracles.graph import SetFollowerGraph
 
 N_ACCOUNTS = 30
 

@@ -20,8 +20,9 @@ test-enforced):
    to brute force.
 3. **Streaming attribution** — :meth:`AASClassifier.attach` registers the
    classifier as a log observer; records are attributed once, on append,
-   into per-service (and benign) record caches, so every later sweep over
-   the attached log is a binary search plus one list slice per service.
+   into per-service (and benign) action-id/tick columns, so every later
+   sweep over the attached log is a binary search plus one slice per
+   service, with records built only for the ids in the window.
 
 All tiers share a per-(ASN, variant) match memo: signatures only inspect
 the endpoint, so distinct endpoints — not records — bound the matching
@@ -30,6 +31,7 @@ work.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -85,7 +87,7 @@ class AttributedActivity:
 _UNSEEN = object()
 
 
-def _cut_window(values: list, ticks: list[int], start_tick: int, end_tick: int | None) -> list:
+def _cut_window(values: array, ticks: array, start_tick: int, end_tick: int | None) -> array:
     """Slice ``values`` (parallel to sorted ``ticks``) to a tick window."""
     lo = bisect_left(ticks, start_tick)
     hi = len(ticks) if end_tick is None else bisect_left(ticks, end_tick)
@@ -126,13 +128,15 @@ class AASClassifier:
         #: decoding the endpoint or building a key tuple. Ids are
         #: per-log, so attach/detach resets it.
         self._eid_memo: dict[int, Optional[str]] = {}
-        # streaming-attribution state (populated by attach()); records are
-        # cached by reference so a window sweep is a bisect plus one slice
+        # streaming-attribution state (populated by attach()): action ids
+        # and their ticks as flat int64 columns per service, so a window
+        # sweep is a bisect plus one slice, and the cache holds no
+        # per-row object for the cyclic collector to walk
         self._log: ActionLog | None = None
-        self._stream_records: dict[str, list[ActionRecord]] = {}
-        self._stream_ticks: dict[str, list[int]] = {}
-        self._benign_records: list[ActionRecord] = []
-        self._benign_ticks: list[int] = []
+        self._stream_ids: dict[str, array] = {}
+        self._stream_ticks: dict[str, array] = {}
+        self._benign_ids = array("q")
+        self._benign_ticks = array("q")
         self._stream_ordered = True
 
     def attribute(self, record: ActionRecord) -> Optional[str]:
@@ -179,10 +183,10 @@ class AASClassifier:
             self.detach()
         self._log = log
         self._eid_memo = {}
-        self._stream_records = {s.service: [] for s in self.signatures}
-        self._stream_ticks = {s.service: [] for s in self.signatures}
-        self._benign_records = []
-        self._benign_ticks = []
+        self._stream_ids = {s.service: array("q") for s in self.signatures}
+        self._stream_ticks = {s.service: array("q") for s in self.signatures}
+        self._benign_ids = array("q")
+        self._benign_ticks = array("q")
         self._stream_ordered = True
         for record in log:
             self._observe(record)
@@ -195,13 +199,13 @@ class AASClassifier:
         self._log.remove_observer(self._observe)
         self._log = None
         self._eid_memo = {}
-        self._stream_records = {}
+        self._stream_ids = {}
         self._stream_ticks = {}
-        self._benign_records = []
-        self._benign_ticks = []
+        self._benign_ids = array("q")
+        self._benign_ticks = array("q")
 
     def _observe(self, record: ActionRecord) -> None:
-        # the per-append hot path: one memo lookup, two list appends.
+        # the per-append hot path: one memo lookup, two array appends.
         # Columnar views expose their row directly, so the memo probes on
         # the interned endpoint id and reads the tick straight out of the
         # column — no endpoint decode, no key tuple, no property calls.
@@ -225,12 +229,12 @@ class AASClassifier:
                 service = self.attribute(record)
             tick = record.tick
         if service is None:
-            records, ticks = self._benign_records, self._benign_ticks
+            ids, ticks = self._benign_ids, self._benign_ticks
         else:
-            records, ticks = self._stream_records[service], self._stream_ticks[service]
+            ids, ticks = self._stream_ids[service], self._stream_ticks[service]
         if ticks and tick < ticks[-1]:
             self._stream_ordered = False  # out-of-order append: bisect invalid
-        records.append(record)
+        ids.append(record.action_id)
         ticks.append(tick)
 
     def _observe_batch(self, cols, start: int, end: int) -> None:
@@ -239,33 +243,32 @@ class AASClassifier:
         Exactly ``end - start`` :meth:`_observe` calls' worth of state
         and telemetry (memo hits are accumulated and charged once), but
         with the memo dict, columns, and — since batches are dominated
-        by single-service bursts — the per-service stream lists resolved
-        outside the per-row loop.
+        by single-service bursts — the per-service stream columns
+        resolved outside the per-row loop. A view is built only to
+        attribute an endpoint the memo has not seen.
         """
         eid_memo = self._eid_memo
         endpoint_ids = cols.endpoint_ids
         col_ticks = cols.ticks
-        benign = (self._benign_records, self._benign_ticks)
-        stream_records = self._stream_records
+        benign = (self._benign_ids, self._benign_ticks)
+        stream_ids = self._stream_ids
         stream_ticks = self._stream_ticks
         last_service: object = _UNSEEN
-        records: list = benign[0]
-        ticks: list = benign[1]
+        ids, ticks = benign
         last_tick = None
         memo_hits = 0
         for row in range(start, end):
-            record = ActionView(cols, row)
             service = eid_memo.get(endpoint_ids[row], _UNSEEN)
             if service is _UNSEEN:
-                service = eid_memo[endpoint_ids[row]] = self.attribute(record)
+                service = eid_memo[endpoint_ids[row]] = self.attribute(ActionView(cols, row))
             else:
                 memo_hits += 1
             if service is not last_service:
                 last_service = service
                 if service is None:
-                    records, ticks = benign
+                    ids, ticks = benign
                 else:
-                    records, ticks = stream_records[service], stream_ticks[service]
+                    ids, ticks = stream_ids[service], stream_ticks[service]
                 # re-read the stream's tail once per run of same-service
                 # rows; within the run the previous row's tick is local
                 last_tick = ticks[-1] if ticks else None
@@ -273,7 +276,7 @@ class AASClassifier:
             if last_tick is not None and tick < last_tick:
                 self._stream_ordered = False
             last_tick = tick
-            records.append(record)
+            ids.append(row)
             ticks.append(tick)
         if memo_hits:
             self._obs_memo_hit.add(memo_hits)
@@ -321,9 +324,10 @@ class AASClassifier:
         return out
 
     def _materialize(
-        self, log: ActionLog, ids: list[int], include_blocked: bool
+        self, log: ActionLog, ids: Iterable[int], include_blocked: bool
     ) -> list[ActionRecord]:
-        records = [log.get(i) for i in ids]
+        get = log.get
+        records = [get(i) for i in ids]
         if not include_blocked:
             records = [r for r in records if r.status is not ActionStatus.BLOCKED]
         return records
@@ -331,21 +335,20 @@ class AASClassifier:
     def _sweep_streamed(
         self, start_tick: int, end_tick: int | None, include_blocked: bool
     ) -> dict[str, AttributedActivity]:
-        assert self._log is not None
+        log = self._log
+        assert log is not None
         out = {}
         for signature in self.signatures:
-            records = _cut_window(
-                self._stream_records[signature.service],
+            ids = _cut_window(
+                self._stream_ids[signature.service],
                 self._stream_ticks[signature.service],
                 start_tick,
                 end_tick,
             )
-            if not include_blocked:
-                records = [r for r in records if r.status is not ActionStatus.BLOCKED]
             out[signature.service] = AttributedActivity(
                 service=signature.service,
                 service_type=signature.service_type,
-                records=records,
+                records=self._materialize(log, ids, include_blocked),
             )
         return out
 
@@ -400,7 +403,9 @@ class AASClassifier:
         """Records matching no signature — the legitimate-traffic pool the
         intervention thresholds are computed from (Section 6.2)."""
         if self._streaming_for(records):
-            return _cut_window(self._benign_records, self._benign_ticks, start_tick, end_tick)
+            assert self._log is not None
+            ids = _cut_window(self._benign_ids, self._benign_ticks, start_tick, end_tick)
+            return self._materialize(self._log, ids, include_blocked=True)
         if isinstance(records, ActionLog):
             records = records.records_between(start_tick, end_tick)
             start_tick, end_tick = 0, None

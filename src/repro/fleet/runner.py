@@ -141,6 +141,7 @@ def _run_leaf_group(group: _LeafGroup, blob: bytes) -> List[Tuple[int, ReplicaRe
         study = restore_study(blob)
         graft_config(study, spec.config, depth=spec.depth)
         results.append((index, _run_replica(spec, study, prefix_reused=not charged)))
+        del study  # so the next restore's collection can free this world
     return results
 
 
@@ -160,6 +161,7 @@ def _run_group(
         for index, spec in group:
             study, hit = cache.get_or_build(spec.config, spec.prefix)
             results.append((index, _run_replica(spec, study, prefix_reused=hit)))
+            del study
         builds, restores = cache.builds, cache.restores
     else:
         for index, spec in group:
@@ -167,10 +169,13 @@ def _run_group(
             # the starting state is identical to the reuse path (a
             # dump/load normalizes hash-table layout either way)
             built = build_prefix(spec.config, spec.prefix)
-            study = restore_study(snapshot_study(built, spec.prefix))
+            blob = snapshot_study(built, spec.prefix)
+            del built
+            study = restore_study(blob)
             builds += 1
             restores += 1
             results.append((index, _run_replica(spec, study, prefix_reused=False)))
+            del study
     return results, builds, restores
 
 

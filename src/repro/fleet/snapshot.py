@@ -31,16 +31,28 @@ envelope, and :func:`restore_study` refuses envelopes from another
 version rather than guessing. The nested reuse tree
 (:mod:`repro.fleet.tree`) folds the same version into every node key,
 so disk-store entries are orphaned by the same bump.
+
+Collector policy: a frozen study is a few hundred thousand container
+objects, and CPython's cyclic collector, left running, walks them over
+and over while ``pickle`` builds or tears them down. Both directions
+therefore run with the collector paused. ``restore_study`` first runs
+one full collection, because the study a process dropped before the
+restore is cyclic garbage that only a collection frees; without it the
+dead world and the new one would share the process's peak memory. The
+pause changes when memory is reclaimed, never what is pickled, so the
+envelope bytes are the same either way.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
+import gc
 import hashlib
 import json
 import pickle
-from typing import Dict, Optional, Tuple
+from contextlib import contextmanager
+from typing import Dict, Iterator, Optional, Tuple
 
 from repro.core.config import StudyConfig
 from repro.core.study import Study
@@ -53,7 +65,7 @@ from repro.fleet.spec import (
 from repro.obs.facade import NULL_OBS, Observability
 
 #: bumped whenever Study's pickled layout or the envelope shape changes
-SNAPSHOT_SCHEMA_VERSION = 2
+SNAPSHOT_SCHEMA_VERSION = 3
 
 
 class SnapshotError(RuntimeError):
@@ -90,6 +102,18 @@ def _canonical(obj: object) -> object:
     if obj is None or isinstance(obj, (bool, int, float, str)):
         return obj
     return repr(obj)
+
+
+@contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Disable the cyclic collector, restoring its prior state on exit."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def config_digest(config: StudyConfig) -> str:
@@ -147,13 +171,16 @@ def snapshot_study(study: Study, prefix: str) -> bytes:
         "rng_state": rng_state,
         "study": study,
     }
-    return pickle.dumps(envelope, protocol=pickle.HIGHEST_PROTOCOL)
+    with _collector_paused():
+        return pickle.dumps(envelope, protocol=pickle.HIGHEST_PROTOCOL)
 
 
 def restore_study(blob: bytes) -> Study:
     """Thaw an envelope back into a live study, verifying as it goes."""
+    gc.collect()  # free the process's previous world before building this one
     try:
-        envelope = pickle.loads(blob)
+        with _collector_paused():
+            envelope = pickle.loads(blob)
     except Exception as exc:  # unreadable bytes are a schema failure
         raise SnapshotError(f"snapshot envelope is unreadable: {exc}") from exc
     if not isinstance(envelope, dict) or "schema_version" not in envelope:
@@ -288,6 +315,7 @@ class SnapshotCache:
         self.builds += 1
         built = build_prefix(config, prefix)
         blob = snapshot_study(built, prefix)
+        del built  # let restore_study's collection reclaim the builder
         self.put_blob(key, blob)
         # hand back a fork of the frozen bytes, not the builder study:
         # every replica then starts from the identical restored state,

@@ -151,15 +151,16 @@ class ProcessMachineryRule(Rule):
     rule_id: ClassVar[str] = "ARCH004"
     summary: ClassVar[str] = (
         "multiprocessing / concurrent.futures / pickle / tempfile / "
-        "shutil imports are confined to repro/fleet/; everywhere else "
-        "they smuggle in process topology, serialized state, or "
-        "filesystem scratch space the determinism contract can't see "
-        "(fleet owns the snapshot envelope, the spawn pool, and the "
+        "shutil / gc imports are confined to repro/fleet/; everywhere "
+        "else they smuggle in process topology, serialized state, "
+        "filesystem scratch space, or process-global collector state "
+        "the determinism contract can't see (fleet owns the snapshot "
+        "envelope and its collector pause, the spawn pool, and the "
         "disk snapshot store)"
     )
 
     _banned_roots = frozenset(
-        {"multiprocessing", "pickle", "concurrent", "tempfile", "shutil"}
+        {"multiprocessing", "pickle", "concurrent", "tempfile", "shutil", "gc"}
     )
 
     def _offends(self, module: str) -> bool:

@@ -12,6 +12,7 @@ multiple presets and seeds.
 from __future__ import annotations
 
 import dataclasses
+import gc
 import pickle
 
 import pytest
@@ -135,3 +136,39 @@ class TestSnapshotCache:
         _, hit = cache.get_or_build(StudyConfig.tiny(seed=12), PREFIX_BUILD_WORLD)
         assert not hit
         assert cache.builds == 2
+
+
+class TestCollectorState:
+    """Snapshot and restore pause the cyclic collector while pickle runs;
+    whatever happens, they hand ``gc.isenabled()`` back as they found it."""
+
+    @pytest.fixture(params=[True, False], ids=["gc-enabled", "gc-disabled"])
+    def collector(self, request):
+        was_enabled = gc.isenabled()
+        if request.param:
+            gc.enable()
+        else:
+            gc.disable()
+        yield request.param
+        if was_enabled:
+            gc.enable()
+        else:
+            gc.disable()
+
+    def test_snapshot_and_restore_leave_collector_state(self, collector) -> None:
+        study = build_prefix(StudyConfig.tiny(seed=11), PREFIX_BUILD_WORLD)
+        blob = snapshot_study(study, PREFIX_BUILD_WORLD)
+        assert gc.isenabled() is collector
+        restore_study(blob)
+        assert gc.isenabled() is collector
+
+    def test_failed_restores_leave_collector_state(self, collector) -> None:
+        with pytest.raises(SnapshotError, match="unreadable"):
+            restore_study(b"not a pickle")
+        assert gc.isenabled() is collector
+        blob = snapshot_study(build_prefix(StudyConfig.tiny(seed=11), PREFIX_BUILD_WORLD), PREFIX_BUILD_WORLD)
+        envelope = pickle.loads(blob)
+        envelope["schema_version"] = SNAPSHOT_SCHEMA_VERSION - 1
+        with pytest.raises(SnapshotError, match="schema_version"):
+            restore_study(pickle.dumps(envelope))
+        assert gc.isenabled() is collector

@@ -232,10 +232,21 @@ class TestArchitectureRules:
         )
         assert fired("import tempfile\nimport shutil\n", path="src/repro/fleet/store.py") == []
 
+    def test_arch004_collector_control_confined_to_fleet(self):
+        # the snapshot envelope's collector pause is fleet-owned; gc
+        # toggles anywhere else are process-global side effects
+        assert "ARCH004" in fired("import gc\n", path="src/repro/core/sample.py")
+        assert "ARCH004" in fired(
+            "from gc import collect\n", path="src/repro/detection/sample.py"
+        )
+        assert fired("import gc\n", path="src/repro/fleet/snapshot.py") == []
+
     def test_arch004_silent_on_lookalike_names_and_outside_the_package(self):
         assert "ARCH004" not in fired("import pickleball\n", path="src/repro/core/sample.py")
         assert "ARCH004" not in fired("import multiprocessing\n", path="tests/test_sample.py")
         assert "ARCH004" not in fired("import shutilities\n", path="src/repro/core/sample.py")
+        assert "ARCH004" not in fired("import gcsfs\n", path="src/repro/core/sample.py")
+        assert "ARCH004" not in fired("import gc\n", path="tests/test_sample.py")
 
     def test_arch004_suppressed(self):
         snippet = (

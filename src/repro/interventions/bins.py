@@ -7,6 +7,7 @@ and delay) and another for a control."
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
 
@@ -16,11 +17,14 @@ from repro.platform.models import AccountId
 BIN_COUNT = 10
 
 
+@functools.cache
 def account_bin(account_id: AccountId, bins: int = BIN_COUNT) -> int:
     """Stable hash-based bin in [0, bins).
 
     Hash-based rather than modulo-of-id so that bin membership is not
     correlated with account age (ids are allocated sequentially).
+    Memoized: the function is pure, and a threshold policy asks it for
+    the same accounts on every over-threshold decision.
     """
     if bins < 1:
         raise ValueError("bins must be positive")

@@ -50,8 +50,8 @@ COST_KINDS: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
     # the ordinary per-row "log" units (appends/column_appends), so the
     # "log" kind is identical whether rows arrive batched or one at a
     # time; "log_batch" measures the batching machinery itself and is
-    # zero for work that takes the scalar path (e.g. while a
-    # countermeasure policy is installed, DESIGN.md §15).
+    # zero for work that takes the scalar path (unfollows, comments,
+    # posts, and actions outside any batch scope, DESIGN.md §15).
     ("log_batch", ("platform.actionlog.batch_rows",)),
     ("log", ("platform.actionlog.",)),
     ("graph", ("platform.graph.",)),

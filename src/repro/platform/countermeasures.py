@@ -23,7 +23,7 @@ from typing import Callable, Optional, Protocol
 
 from repro.netsim.client import ClientEndpoint
 from repro.platform.clock import SimClock
-from repro.platform.models import AccountId, ActionRecord, ActionType, MediaId
+from repro.platform.models import AccountId, ActionRecord, ActionStatus, ActionType, MediaId
 from repro.util.timeutils import days
 
 
@@ -48,7 +48,12 @@ class ActionContext:
 
 
 class CountermeasurePolicy(Protocol):
-    """Anything with a ``decide`` method can act as a policy."""
+    """Anything with a ``decide`` method can act as a policy.
+
+    A policy decides from its :class:`ActionContext` alone and never
+    reads the action log: inside a batch scope, earlier rows of the same
+    actor-tick may still be pending (DESIGN.md §15).
+    """
 
     def decide(self, context: ActionContext) -> CountermeasureDecision: ...
 
@@ -79,8 +84,9 @@ class CountermeasureEngine:
         """Whether any policy is registered.
 
         With none, :meth:`decide` is vacuously ALLOW for every context —
-        the invariant the platform's batch scope relies on to skip
-        building :class:`ActionContext` objects per action.
+        the invariant the platform relies on to skip building an
+        :class:`ActionContext` per action, on the scalar and the batched
+        path alike (DESIGN.md §15).
         """
         return bool(self._policies)
 
@@ -93,19 +99,28 @@ class CountermeasureEngine:
                 decision = verdict
         return decision
 
-    def schedule_removal(self, record: ActionRecord, undo: Callable[[ActionRecord], bool]) -> None:
-        """Arrange for ``record`` to be undone ``removal_delay_ticks`` later.
+    def schedule_removal(
+        self,
+        action_id: int,
+        resolve: Callable[[int], ActionRecord],
+        undo: Callable[[ActionRecord], bool],
+    ) -> None:
+        """Arrange for action ``action_id`` to be undone ``removal_delay_ticks`` later.
 
-        ``undo`` reverses the action's platform effect (drop the follow
-        edge, withdraw the like) and returns True if there was anything
-        left to undo — the actor may have reversed the action themselves
-        in the meantime (e.g. an AAS-issued unfollow), in which case the
+        The row is looked up by id only when the removal fires:
+        ``resolve(action_id)`` returns it, landing it first if it is
+        still pending in an open batch scope (DESIGN.md §15). ``undo``
+        reverses the action's platform effect (drop the follow edge,
+        withdraw the like) and returns True if there was anything left
+        to undo — the actor may have reversed the action themselves in
+        the meantime (e.g. an AAS-issued unfollow), in which case the
         record keeps its DELIVERED status.
         """
         self.delayed_removal_count += 1
 
         def _fire(tick: int) -> None:
-            if record.status.name != "DELIVERED":
+            record = resolve(action_id)
+            if record.status is not ActionStatus.DELIVERED:
                 return
             if undo(record):
                 record.mark_removed(tick)

@@ -27,6 +27,7 @@ from repro.platform.errors import (
     ActionBlockedError,
     InvalidActionError,
     UnknownAccountError,
+    UnknownMediaError,
 )
 from repro.platform.graph import FollowerGraph
 from repro.platform.mediastore import MediaStore
@@ -67,10 +68,11 @@ class InstagramPlatform:
         self.notifications = NotificationCenter()
         self.countermeasures = CountermeasureEngine(self.clock, removal_delay_ticks)
         #: deferred log rows of the open :meth:`action_batch` scope
-        #: (DESIGN.md §15): :meth:`ActionLog.log_action` argument tuples.
-        #: Every scalar append flushes them first, so pending row *i*
-        #: becomes action id ``len(self.log) + i`` — how the facade hands
-        #: out final action ids (for notifications) before rows land.
+        #: (DESIGN.md §15): :meth:`ActionLog.log_action` argument tuples,
+        #: DELIVERED and BLOCKED alike. Every scalar append flushes them
+        #: first, so pending row *i* becomes action id
+        #: ``len(self.log) + i`` — how the facade hands out final action
+        #: ids (for notifications and delayed removals) before rows land.
         self._batch: Optional[list[tuple]] = None
         self._accounts: dict[AccountId, Account] = {}
         self._by_username: dict[str, AccountId] = {}
@@ -152,22 +154,21 @@ class InstagramPlatform:
     def action_batch(self) -> Iterator[None]:
         """Open one actor-tick's batch scope.
 
-        Inside the scope, delivered like/follow actions apply their
-        platform mutations (graph edges, media likes, notifications)
-        immediately — later actions in the same scope depend on them —
-        but their log rows accumulate and land in one
+        Inside the scope, like/follow actions apply their platform
+        mutations (graph edges, media likes, notifications) immediately —
+        later actions in the same scope depend on them — but their log
+        rows, BLOCKED ones included, accumulate and land in one
         :meth:`ActionLog.append_batch` at scope exit, in exact submission
         order with the same action ids the per-action path would have
         assigned.
 
-        The scope only defers when it can do so invisibly: no
-        countermeasure policy may be installed (policies need per-action
-        contexts, BLOCK rows, and removal scheduling — the scalar path).
-        Otherwise, and when nested inside an open scope, this is a no-op
-        context. Policies are only ever (un)installed between agent runs,
-        so the entry check cannot go stale mid-scope.
+        Countermeasure policies are consulted per action exactly where
+        the scalar path consults them; a delayed removal is scheduled by
+        action id and resolves its row only when it fires. Nested inside
+        an open scope, this is a no-op context, so an inner scope never
+        flushes an outer one early.
         """
-        if self._batch is not None or self.countermeasures.has_policies:
+        if self._batch is not None:
             yield
             return
         self._batch = []
@@ -188,6 +189,16 @@ class InstagramPlatform:
         if self._batch:
             self.log.append_batch(self._batch)
             self._batch = []
+
+    def _action_record(self, action_id: int) -> ActionRecord:
+        """The logged row of ``action_id``, landing pending rows first.
+
+        A delayed removal resolves its row through this when it fires:
+        a caller may advance the clock inside an open scope, while the
+        row is still pending.
+        """
+        self._flush_batch()
+        return self.log.get(action_id)
 
     # ------------------------------------------------------------------
     # Social actions
@@ -229,32 +240,46 @@ class InstagramPlatform:
         api: ApiSurface,
         target_account: Optional[AccountId],
         target_media: Optional[MediaId],
+        batch: Optional[list[tuple]] = None,
     ) -> CountermeasureDecision:
+        """The strictest policy decision on a prospective action.
+
+        On BLOCK the BLOCKED row is logged — appended to ``batch``, the
+        open scope's pending rows, when the caller is on the batched path
+        — and :class:`ActionBlockedError` is raised.
+        """
         if not self.countermeasures.has_policies:
             # with no policy installed every decision is vacuously ALLOW
             # and decide() is side-effect free (unit-tested), so skip
             # building the frozen per-action context
             return CountermeasureDecision.ALLOW
+        tick = self.clock.now
         context = ActionContext(
             actor=actor,
             action_type=action_type,
             endpoint=endpoint,
-            tick=self.clock.now,
+            tick=tick,
             target_account=target_account,
             target_media=target_media,
         )
         decision = self.countermeasures.decide(context)
         if decision is CountermeasureDecision.BLOCK:
             self.countermeasures.note_block()
-            self._log_action(
+            row = (
                 action_type,
                 actor,
+                tick,
                 endpoint,
                 api,
                 ActionStatus.BLOCKED,
-                target_account=target_account,
-                target_media=target_media,
+                target_account,
+                target_media,
+                None,
             )
+            if batch is not None:
+                batch.append(row)
+            else:
+                self.log.log_action(*row)
             raise ActionBlockedError(f"{action_type.value} by {actor} blocked")
         return decision
 
@@ -282,13 +307,25 @@ class InstagramPlatform:
         if batch is not None:
             # batched path: same checks and mutations in the same
             # order (validate, account/media lookups, dup-like reject,
-            # vacuous ALLOW, like, notify) with the log row deferred
+            # decide, like, notify) with the log row deferred
             actor = self.auth.validate(session)
             account = self._accounts.get(actor)
             if account is None or account.is_deleted:
                 raise UnknownAccountError(f"account {actor} not found")
-            media = self.media.like_new(media_id, actor)
-            owner = media.owner
+            if self.countermeasures.has_policies:
+                # a BLOCK must leave no like behind: decide between the
+                # duplicate check and the mutation, as the scalar path does
+                media = self.media.get(media_id)
+                owner = media.owner
+                if self.media.has_liked(media_id, actor):
+                    raise InvalidActionError(f"{actor} already likes media {media_id}")
+                decision = self._consult_countermeasures(
+                    ActionType.LIKE, actor, endpoint, api, owner, media_id, batch
+                )
+                self.media.like(media_id, actor)
+            else:
+                owner = self.media.like_new(media_id, actor).owner
+                decision = CountermeasureDecision.ALLOW
             action_id = len(self.log) + len(batch)
             tick = self.clock.now
             batch.append(
@@ -304,6 +341,10 @@ class InstagramPlatform:
                     None,
                 )
             )
+            if decision is CountermeasureDecision.DELAY_REMOVE:
+                self.countermeasures.schedule_removal(
+                    action_id, self._action_record, self._undo_like
+                )
             if owner != actor:
                 self.notifications.push(
                     Notification(
@@ -334,7 +375,9 @@ class InstagramPlatform:
             target_media=media_id,
         )
         if decision is CountermeasureDecision.DELAY_REMOVE:
-            self.countermeasures.schedule_removal(record, self._undo_like)
+            self.countermeasures.schedule_removal(
+                record.action_id, self._action_record, self._undo_like
+            )
         if media.owner != actor:
             self._notify(record, media.owner)
         return record
@@ -359,6 +402,9 @@ class InstagramPlatform:
                 raise UnknownAccountError(f"account {target} not found")
             if self.graph.is_following(actor, target):
                 raise InvalidActionError(f"{actor} already follows {target}")
+            decision = self._consult_countermeasures(
+                ActionType.FOLLOW, actor, endpoint, api, target, None, batch
+            )
             self.graph.follow(actor, target)
             action_id = len(self.log) + len(batch)
             tick = self.clock.now
@@ -375,6 +421,10 @@ class InstagramPlatform:
                     None,
                 )
             )
+            if decision is CountermeasureDecision.DELAY_REMOVE:
+                self.countermeasures.schedule_removal(
+                    action_id, self._action_record, self._undo_follow
+                )
             self.notifications.push(
                 Notification(
                     recipient=target,
@@ -403,7 +453,9 @@ class InstagramPlatform:
             target_account=target,
         )
         if decision is CountermeasureDecision.DELAY_REMOVE:
-            self.countermeasures.schedule_removal(record, self._undo_follow)
+            self.countermeasures.schedule_removal(
+                record.action_id, self._action_record, self._undo_follow
+            )
         self._notify(record, target)
         return record
 
@@ -507,7 +559,7 @@ class InstagramPlatform:
             return False
         try:
             self.media.get(record.target_media)
-        except Exception:
+        except UnknownMediaError:
             return False
         if not self.media.has_liked(record.target_media, record.actor):
             return False

@@ -20,9 +20,11 @@ import pytest
 from repro.core import Study, StudyConfig
 from repro.core import experiments as E
 from repro.core import reporting as R
-from repro.interventions.experiment import BroadInterventionPlan
+from repro.core.study import InterventionOutcome
+from repro.interventions.experiment import BroadInterventionPlan, NarrowInterventionPlan
 from repro.platform.actions import ActionLog
 from repro.platform.graph import FollowerGraph
+from repro.platform.models import ActionStatus
 
 from tests.oracles.actionlog import ListActionLog
 from tests.oracles.graph import SetFollowerGraph
@@ -285,3 +287,64 @@ def test_profiled_cost_tree_is_seed_deterministic(profiled) -> None:
     assert canonical_lines(rerun.obs.trace_lines()) == canonical_lines(
         profiled_study.obs.trace_lines()
     )
+
+
+# ----------------------------------------------------------------------
+# The narrow design puts block, delay and control bins in one period:
+# BLOCKED rows and delayed removals inside the production run's batch
+# scopes must match the oracle run, which never opens a scope.
+# ----------------------------------------------------------------------
+
+
+def _run_narrow(config: StudyConfig) -> tuple[Study, InterventionOutcome]:
+    study = Study(config)
+    study.run_honeypot_phase()
+    study.learn_signatures()
+    study.run_measurement()
+    narrow = study.run_narrow_intervention(
+        NarrowInterventionPlan(duration_days=2), calibration_days=2
+    )
+    return study, narrow
+
+
+@pytest.fixture(scope="module")
+def narrow_pair():
+    """Keyed ``True`` for the production run, ``False`` for the oracle run."""
+    runs = {True: _run_narrow(_config())}
+    with pytest.MonkeyPatch.context() as mp:
+        install_oracles(mp)
+        runs[False] = _run_narrow(_config())
+    return runs
+
+
+def _raw_rows(study: Study) -> list[tuple]:
+    return [
+        (
+            r.action_id, r.tick, r.actor, r.action_type, r.target_account, r.target_media,
+            r.status, r.removed_at, r.endpoint, r.api, r.comment_text,
+        )
+        for r in study.platform.log
+    ]
+
+
+def test_narrow_intervention_logs_identical(narrow_pair) -> None:
+    fast, naive = narrow_pair[True][0], narrow_pair[False][0]
+    rows = _raw_rows(fast)
+    assert rows == _raw_rows(naive)
+    statuses = {row[6] for row in rows}
+    assert {ActionStatus.BLOCKED, ActionStatus.REMOVED} <= statuses
+    fast_cm, naive_cm = fast.platform.countermeasures, naive.platform.countermeasures
+    assert (fast_cm.blocked_count, fast_cm.delayed_removal_count) == (
+        naive_cm.blocked_count, naive_cm.delayed_removal_count,
+    )
+
+
+def test_narrow_intervention_outcomes_identical(narrow_pair) -> None:
+    fast, naive = narrow_pair[True][1], narrow_pair[False][1]
+    assert (fast.start_day, fast.end_day, fast.switch_day, fast.assignment) == (
+        naive.start_day, naive.end_day, naive.switch_day, naive.assignment,
+    )
+    assert fast.thresholds == naive.thresholds
+    fast_ids = {k: [r.action_id for r in v.records] for k, v in fast.attributed.items()}
+    naive_ids = {k: [r.action_id for r in v.records] for k, v in naive.attributed.items()}
+    assert fast_ids == naive_ids

@@ -1,5 +1,7 @@
 """Tests for deterministic account binning."""
 
+import hashlib
+
 import pytest
 
 from repro.interventions.bins import BIN_COUNT, BinAssignment, account_bin
@@ -32,6 +34,15 @@ class TestAccountBin:
     def test_invalid_bins(self):
         with pytest.raises(ValueError):
             account_bin(1, bins=0)
+
+    @pytest.mark.parametrize("bins", [3, 10])
+    def test_memo_matches_direct_hash(self, bins):
+        """The memoized bin equals a fresh blake2b computation, on the
+        first (filling) and the second (memo-hit) call alike."""
+        for _ in range(2):
+            for account in range(2001):
+                digest = hashlib.blake2b(str(account).encode("ascii"), digest_size=8).digest()
+                assert account_bin(account, bins) == int.from_bytes(digest, "big") % bins
 
 
 class TestBinAssignment:

@@ -5,7 +5,9 @@ One seeded script of likes, follows, unfollows, comments and posts
 absent edges) runs on two fresh platforms, once inside
 ``platform.action_batch()`` and once outside. Both must leave the same
 log rows, the same notifications (action ids included), the same graph
-edges and the same likes. DESIGN.md §15 describes the contract.
+edges and the same likes — also with a countermeasure policy installed
+that blocks some actions and delay-removes others. DESIGN.md §15
+describes the contract.
 """
 
 from __future__ import annotations
@@ -16,8 +18,10 @@ import pytest
 
 from repro.platform import InstagramPlatform
 from repro.platform.countermeasures import CountermeasureDecision
-from repro.platform.errors import InvalidActionError
+from repro.platform.errors import ActionBlockedError, InvalidActionError
+from repro.platform.models import ActionStatus, ActionType
 from repro.util.rng import derive_rng
+from repro.util.timeutils import days
 
 N_ACCOUNTS = 8
 MEDIA_PER_ACCOUNT = 2
@@ -50,8 +54,8 @@ def _script(seed: int, steps: int = 200) -> list[tuple]:
     return ops
 
 
-def _world(endpoint):
-    platform = InstagramPlatform()
+def _world(endpoint, removal_delay_ticks: int = days(1)):
+    platform = InstagramPlatform(removal_delay_ticks=removal_delay_ticks)
     accounts, sessions, media = [], [], []
     for i in range(N_ACCOUNTS):
         account = platform.create_account(f"user{i}", "pw")
@@ -84,6 +88,8 @@ def _run(platform, accounts, sessions, media, script, endpoint, batched: bool) -
                 outcomes.append("ok")
             except InvalidActionError:
                 outcomes.append("invalid")
+            except ActionBlockedError:
+                outcomes.append("blocked")
     return outcomes
 
 
@@ -92,13 +98,16 @@ def _state(platform, accounts, media) -> dict:
         "rows": [
             (
                 r.action_id, r.tick, r.actor, r.action_type, r.target_account,
-                r.target_media, r.status, r.endpoint, r.api, r.comment_text,
+                r.target_media, r.status, r.removed_at, r.endpoint, r.api,
+                r.comment_text,
             )
             for r in platform.log
         ],
         "notifications": {a: platform.notifications.drain(a) for a in accounts},
         "edges": {(a, b) for a in accounts for b in platform.graph.following(a)},
         "likes": {m: platform.media.likes(m) for m in media},
+        "blocked": platform.countermeasures.blocked_count,
+        "delayed": platform.countermeasures.delayed_removal_count,
     }
 
 
@@ -140,18 +149,84 @@ def test_rows_land_when_an_error_escapes_the_scope(endpoint):
     assert note.action_id == before
 
 
-class _AllowAll:
+_TYPE_INDEX = {action_type: i for i, action_type in enumerate(ActionType)}
+
+
+class _MixedPolicy:
+    """Deterministic in the context alone: BLOCK some (actor, type)
+    pairs, DELAY_REMOVE some follows and likes, ALLOW the rest. Posts
+    always land: the script indexes the media they create."""
+
     def decide(self, context):
+        action_type = context.action_type
+        if (
+            action_type is not ActionType.POST
+            and (context.actor * 3 + _TYPE_INDEX[action_type]) % 7 == 0
+        ):
+            return CountermeasureDecision.BLOCK
+        if (
+            action_type in (ActionType.FOLLOW, ActionType.LIKE)
+            and (context.actor + context.target_account) % 3 == 0
+        ):
+            return CountermeasureDecision.DELAY_REMOVE
         return CountermeasureDecision.ALLOW
 
 
-def test_policy_installed_scope_appends_one_row_at_a_time(endpoint):
-    platform, accounts, sessions, media = _world(endpoint)
-    platform.countermeasures.add_policy(_AllowAll())
-    before = len(platform.log)
-    with platform.action_batch():
-        platform.follow(sessions[0], accounts[1], endpoint)
-        assert len(platform.log) == before + 1
-        record = platform.like(sessions[0], media[2], endpoint)
-        assert len(platform.log) == before + 2
-        assert record is not None and record.action_id == before + 1
+def _removals(platform) -> list[tuple]:
+    return [(r.action_id, r.status, r.removed_at) for r in platform.log]
+
+
+@pytest.mark.parametrize("removal_delay_ticks", [2, days(1)])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_policy_installed_batched_and_unbatched_runs_agree(seed, removal_delay_ticks, endpoint):
+    """With a mixed policy installed the scope still defers, and stays
+    invisible: BLOCKED rows, delayed removals (some firing mid-script,
+    inside the open scope) and the removals still due at script end."""
+    script = _script(seed)
+    results = {}
+    for batched in (True, False):
+        platform, accounts, sessions, media = _world(endpoint, removal_delay_ticks)
+        platform.countermeasures.add_policy(_MixedPolicy())
+        outcomes = _run(platform, accounts, sessions, media, script, endpoint, batched)
+        state = _state(platform, accounts, media)
+        platform.clock.advance(removal_delay_ticks + 1)
+        results[batched] = (outcomes, state, _state(platform, accounts, media))
+    assert results[True] == results[False]
+    outcomes, state, after = results[True]
+    assert "blocked" in outcomes and state["blocked"] == outcomes.count("blocked")
+    assert any(row[6] is ActionStatus.BLOCKED for row in state["rows"])
+    assert state["delayed"] > 0
+    assert any(row[6] is ActionStatus.REMOVED for row in after["rows"])
+
+
+class _DelayFollows:
+    def decide(self, context):
+        if context.action_type is ActionType.FOLLOW:
+            return CountermeasureDecision.DELAY_REMOVE
+        return CountermeasureDecision.ALLOW
+
+
+def test_removal_due_while_its_row_is_pending(endpoint):
+    """A removal that fires inside the scope lands its pending row first."""
+    results = {}
+    for batched in (True, False):
+        platform, accounts, sessions, media = _world(endpoint, removal_delay_ticks=1)
+        platform.countermeasures.add_policy(_DelayFollows())
+        before = len(platform.log)
+        with platform.action_batch() if batched else nullcontext():
+            platform.follow(sessions[0], accounts[1], endpoint)
+            platform.like(sessions[0], media[2], endpoint)
+            if batched:
+                assert len(platform.log) == before  # both rows pending
+            platform.clock.advance(1)
+            assert len(platform.log) == before + 2
+            assert not platform.graph.is_following(accounts[0], accounts[1])
+            platform.follow(sessions[0], accounts[1], endpoint)  # a fresh follow
+        results[batched] = (_removals(platform), _state(platform, accounts, media))
+    assert results[True] == results[False]
+    removals = results[True][0]
+    assert removals[before:] == [
+        (before, ActionStatus.REMOVED, 1),
+        (before + 1, ActionStatus.DELIVERED, None),
+        (before + 2, ActionStatus.DELIVERED, None),
+    ]

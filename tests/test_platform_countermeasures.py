@@ -89,13 +89,17 @@ class TestCountermeasureEngine:
             target_account=2,
         )
         undone = []
-        engine.schedule_removal(record, lambda r: undone.append(r) or True)
+        resolved = []
+        engine.schedule_removal(
+            0, lambda i: resolved.append(i) or record, lambda r: undone.append(r) or True
+        )
         clock.advance(23)
         assert record.status is ActionStatus.DELIVERED
         clock.advance(1)
         assert record.status is ActionStatus.REMOVED
         assert record.removed_at == 24
         assert undone == [record]
+        assert resolved == [0]  # the row is looked up by id when the removal fires
 
     def test_removal_skipped_if_undo_reports_nothing(self):
         clock = SimClock()
@@ -110,7 +114,7 @@ class TestCountermeasureEngine:
             status=ActionStatus.DELIVERED,
             target_account=2,
         )
-        engine.schedule_removal(record, lambda r: False)
+        engine.schedule_removal(0, lambda i: record, lambda r: False)
         clock.advance(20)
         assert record.status is ActionStatus.DELIVERED  # actor undid it first
 

@@ -1,5 +1,7 @@
 """Tests for the InstagramPlatform facade."""
 
+from contextlib import nullcontext
+
 import pytest
 
 from repro.platform import (
@@ -183,6 +185,22 @@ class TestCountermeasuresIntegration:
         platform.clock.advance(24)
         assert record.status is ActionStatus.REMOVED
         assert not platform.media.has_liked(media.media_id, alice.account_id)
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_delayed_like_on_removed_media_stays_delivered(self, world, batched):
+        """A like whose media is gone by the time its removal fires has
+        nothing left to undo: the row keeps its DELIVERED status."""
+        platform, alice, bob, session, endpoint = world
+        media = platform.media.create(bob.account_id, 0)
+        platform.countermeasures.add_policy(_Always(CountermeasureDecision.DELAY_REMOVE))
+        with platform.action_batch() if batched else nullcontext():
+            platform.like(session, media.media_id, endpoint)
+        platform.media.remove_account_media(bob.account_id)
+        platform.clock.advance(24)
+        [record] = platform.log.by_actor(alice.account_id)
+        assert record.status is ActionStatus.DELIVERED
+        assert record.removed_at is None
+        assert platform.countermeasures.delayed_removal_count == 1
 
     def test_actor_unfollow_preempts_delayed_removal(self, world):
         platform, alice, bob, session, endpoint = world

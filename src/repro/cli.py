@@ -155,12 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="LRU-evict the disk store past this many bytes",
     )
     sweep.add_argument(
-        "--strategy",
-        choices=["tree", "flat", "no-reuse"],
-        default="tree",
-        help="prefix reuse strategy (default: tree; others are baselines)",
-    )
-    sweep.add_argument(
         "--output", type=str, default="", help="write the merged payload to a file instead of stdout"
     )
     sweep.add_argument(
@@ -349,10 +343,7 @@ def cmd_sweep(args, out: TextIO) -> int:
     store = (
         SnapshotStore(args.store, max_bytes=args.store_max_bytes) if args.store else None
     )
-    runner = FleetRunner(
-        workers=resolve_workers(args.workers), strategy=args.strategy, store=store
-    )
-    result = runner.run(specs)
+    result = FleetRunner(workers=resolve_workers(args.workers), store=store).run(specs)
     out.write(result.merged_payload_text())
     if args.trace:
         lines = result.fleet_trace_segment() + result.merged_trace_lines()
@@ -361,7 +352,7 @@ def cmd_sweep(args, out: TextIO) -> int:
         print(f"Wrote sweep trace to {args.trace}", file=sys.stderr)
     print(
         f"sweep {manifest.name}: {len(result.replicas)} replicas, "
-        f"strategy={result.strategy}, phase builds {result.phase_builds}/"
+        f"strategy=tree, phase builds {result.phase_builds}/"
         f"{result.phase_units} "
         f"(build cost avoided {result.build_cost_avoided_frac:.1%})",
         file=sys.stderr,

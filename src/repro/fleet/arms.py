@@ -136,6 +136,18 @@ ARMS: Dict[str, ArmFn] = {
 }
 
 
+#: arm name → the options it reads, each with its smallest accepted
+#: value; :func:`repro.fleet.manifest.parse_manifest` rejects any other
+#: key, a non-int value or one below the bound. ``measurement_days`` may
+#: be 0 only on the intervention arms, where 0 skips the window.
+ARM_OPTIONS: Dict[str, Dict[str, int]] = {
+    "standard": {"measurement_days": 1},
+    "report": {"measurement_days": 1},
+    "narrow": {"measurement_days": 0, "narrow_days": 1, "calibration_days": 1},
+    "broad": {"measurement_days": 0, "delay_days": 0, "block_days": 1, "calibration_days": 1},
+}
+
+
 def resolve_arm(name: str) -> ArmFn:
     try:
         return ARMS[name]
@@ -145,6 +157,7 @@ def resolve_arm(name: str) -> ArmFn:
 
 __all__ = [
     "ARMS",
+    "ARM_OPTIONS",
     "ArmFn",
     "arm_broad",
     "arm_narrow",

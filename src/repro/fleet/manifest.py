@@ -4,7 +4,9 @@
 into a full replica fleet. A manifest names a preset and the axes to
 sweep — seeds, population sizes, honeypot-phase lengths, measurement
 windows, service mixes — plus the arm variants to run at every grid
-point (each arm may carry its own option grid, e.g. a threshold axis).
+point (each arm may carry its own option grid, e.g. a ``narrow_days``
+axis; option names and bounds are checked against
+:data:`repro.fleet.arms.ARM_OPTIONS` at parse time).
 Expansion is a pure function of the manifest (plus an optional
 explicit base config), so the same file always yields the same specs
 in the same order, and the fleet merge contract takes it from there.
@@ -155,6 +157,25 @@ def _parse_options(raw: object, where: str) -> Tuple[Tuple[str, object], ...]:
     return tuple(raw.items())
 
 
+def _check_arm_option(
+    arm: str, accepted: Dict[str, int], key: str, value: object, where: str
+) -> None:
+    """Reject an option the arm does not read, or a value it cannot run."""
+    _require(
+        key in accepted,
+        f"{where}: arm {arm!r} has no option {key!r} (known: {sorted(accepted)})",
+    )
+    _require(
+        isinstance(value, int) and not isinstance(value, bool),
+        f"{where}: arm {arm!r} option {key!r} must be an integer, got {value!r}",
+    )
+    assert isinstance(value, int)
+    _require(
+        value >= accepted[key],
+        f"{where}: arm {arm!r} option {key!r} must be >= {accepted[key]}, got {value!r}",
+    )
+
+
 def _parse_arm(raw: object, position: int) -> ArmSpec:
     where = f"arms[{position}]"
     _require(isinstance(raw, dict), f"{where} must be an object")
@@ -164,7 +185,7 @@ def _parse_arm(raw: object, position: int) -> ArmSpec:
     arm = raw.get("arm")
     _require(isinstance(arm, str) and bool(arm), f"{where}: 'arm' must be a non-empty string")
     assert isinstance(arm, str)
-    from repro.fleet.arms import ARMS
+    from repro.fleet.arms import ARM_OPTIONS, ARMS
 
     _require(arm in ARMS, f"{where}: unknown arm {arm!r} (known: {sorted(ARMS)})")
     name = raw.get("name")
@@ -187,6 +208,11 @@ def _parse_arm(raw: object, position: int) -> ArmSpec:
             )
         _require(len(set(values)) == len(values), f"{where}: grid {key!r} repeats values")
         grid.append((key, tuple(values)))
+    for key, value in options:
+        _check_arm_option(arm, ARM_OPTIONS[arm], key, value, where)
+    for key, values in grid:
+        for value in values:
+            _check_arm_option(arm, ARM_OPTIONS[arm], key, value, where)
     return ArmSpec(arm=arm, name=name, options=options, grid=tuple(grid))
 
 

@@ -6,20 +6,13 @@ over shared-nothing worker processes and merges the results back in
 merged trace are byte-identical for any worker count (enforced by
 ``tests/test_fleet_runner.py``).
 
-Three strategies, one merge contract:
-
-* ``tree`` (default) — nested prefix reuse. The planner
-  (:func:`repro.fleet.tree.plan_tree`) derives the maximal reuse tree
-  from the spec list; the runner materializes it level by level
-  (parents strictly before children, siblings dispatched to the worker
-  pool), resolving each node through the in-memory cache, then the
-  optional disk store, and only then building it from its parent's
-  frozen bytes. Replicas are grouped by leaf node and dispatched whole.
-* ``flat`` — the historical grouping by ``(config digest, prefix)``:
-  each group builds its entire chain once. Kept as the tree's bench
-  baseline and as a bisection aid.
-* ``no-reuse`` — every replica rebuilds its own chain (the
-  ``reuse_prefix=False`` baseline that prices what reuse saves).
+One strategy, nested prefix reuse: the planner
+(:func:`repro.fleet.tree.plan_tree`) derives the maximal reuse tree from
+the spec list; the runner materializes it level by level (parents
+strictly before children, siblings dispatched to the worker pool),
+resolving each node through the in-memory cache, then the optional disk
+store, and only then building it from its parent's frozen bytes.
+Replicas are grouped by leaf node and dispatched whole.
 
 Why the fan-out preserves determinism:
 
@@ -61,7 +54,6 @@ from repro.fleet.snapshot import (
     SnapshotCache,
     advance_prefix,
     build_prefix,
-    config_digest,
     restore_study,
     snapshot_study,
 )
@@ -75,13 +67,8 @@ from repro.fleet.store import SnapshotStore
 from repro.fleet.tree import TreePlan, graft_config, plan_tree
 from repro.obs.trace import canonical_lines, label_replica, trace_lines
 
-#: one flat group = the (spec index, spec) pairs sharing a prefix snapshot
-_Group = List[Tuple[int, ReplicaSpec]]
-
 #: one tree leaf group = (spec index, spec, charged-for-a-build) triples
 _LeafGroup = List[Tuple[int, ReplicaSpec, bool]]
-
-_STRATEGIES = ("tree", "flat", "no-reuse")
 
 
 def _run_replica(spec: ReplicaSpec, study: object, prefix_reused: bool) -> ReplicaResult:
@@ -145,84 +132,29 @@ def _run_leaf_group(group: _LeafGroup, blob: bytes) -> List[Tuple[int, ReplicaRe
     return results
 
 
-def _run_group(
-    group: _Group, reuse_prefix: bool
-) -> Tuple[List[Tuple[int, ReplicaResult]], int, int]:
-    """Run one flat prefix-sharing group; returns (results, builds, restores).
-
-    Module-level on purpose: spawn workers resolve it by qualified name,
-    and its arguments (specs + a bool) pickle without custom support.
-    """
-    results: List[Tuple[int, ReplicaResult]] = []
-    builds = 0
-    restores = 0
-    if reuse_prefix:
-        cache = SnapshotCache()
-        for index, spec in group:
-            study, hit = cache.get_or_build(spec.config, spec.prefix)
-            results.append((index, _run_replica(spec, study, prefix_reused=hit)))
-            del study
-        builds, restores = cache.builds, cache.restores
-    else:
-        for index, spec in group:
-            # build fresh, but still round-trip through an envelope so
-            # the starting state is identical to the reuse path (a
-            # dump/load normalizes hash-table layout either way)
-            built = build_prefix(spec.config, spec.prefix)
-            blob = snapshot_study(built, spec.prefix)
-            del built
-            study = restore_study(blob)
-            builds += 1
-            restores += 1
-            results.append((index, _run_replica(spec, study, prefix_reused=False)))
-            del study
-    return results, builds, restores
-
-
-def _group_specs(specs: Sequence[ReplicaSpec]) -> List[_Group]:
-    """Group specs by (config digest, prefix), first-appearance order."""
-    groups: Dict[Tuple[str, str], _Group] = {}
-    order: List[Tuple[str, str]] = []
-    for index, spec in enumerate(specs):
-        key = (config_digest(spec.config), spec.prefix)
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append((index, spec))
-    return [groups[key] for key in order]
-
-
 class FleetRunner:
     """Runs replica specs across ``workers`` spawn processes.
 
     ``workers <= 1`` runs everything in-process through the *same*
     scheduling code path, so the pooled and serial outputs are
-    byte-comparable by construction. ``reuse_prefix=False`` forces the
-    ``no-reuse`` strategy (every replica pays its own chain) — the
-    bench baseline that prices what reuse saves.
+    byte-comparable by construction.
 
     ``store`` plugs in a :class:`~repro.fleet.store.SnapshotStore` for
     cross-invocation node reuse; ``cache`` a (bounded)
     :class:`~repro.fleet.snapshot.SnapshotCache` shared across ``run``
-    calls. Both are tree-strategy features. Only the parent process
-    touches them — workers receive node bytes by value.
+    calls. Only the parent process touches them — workers receive node
+    bytes by value.
     """
 
     def __init__(
         self,
         workers: int = 1,
-        reuse_prefix: bool = True,
-        strategy: str = "tree",
         store: Optional[SnapshotStore] = None,
         cache: Optional[SnapshotCache] = None,
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        if strategy not in _STRATEGIES:
-            raise ValueError(f"unknown strategy {strategy!r} (known: {_STRATEGIES})")
         self.workers = workers
-        self.reuse_prefix = reuse_prefix
-        self.strategy = strategy if reuse_prefix else "no-reuse"
         self.store = store
         self.cache = cache
 
@@ -251,8 +183,6 @@ class FleetRunner:
             max_workers=min(self.workers, parallelism), mp_context=context
         )
 
-    # -- strategies -----------------------------------------------------
-
     def run(self, specs: Sequence[ReplicaSpec]) -> FleetResult:
         specs = list(specs)
         names = [spec.name for spec in specs]
@@ -260,51 +190,8 @@ class FleetRunner:
             raise ValueError("replica names must be unique within a fleet")
         if not specs:
             return FleetResult(
-                replicas=[],
-                prefix_builds=0,
-                prefix_restores=0,
-                prefix_groups=0,
-                strategy=self.strategy,
+                replicas=[], prefix_builds=0, prefix_restores=0, prefix_groups=0
             )
-        if self.strategy == "tree":
-            return self._run_tree(specs)
-        return self._run_flat(specs, reuse=self.strategy == "flat")
-
-    def _run_flat(self, specs: List[ReplicaSpec], reuse: bool) -> FleetResult:
-        groups = _group_specs(specs)
-        pool = self._make_pool(len(groups))
-        try:
-            outcomes = self._dispatch(
-                pool, _run_group, [(group, reuse) for group in groups]
-            )
-        finally:
-            if pool is not None:
-                pool.shutdown()
-        indexed: List[Tuple[int, ReplicaResult]] = []
-        builds = 0
-        restores = 0
-        for group_results, group_builds, group_restores in outcomes:  # type: ignore[misc]
-            indexed.extend(group_results)
-            builds += group_builds
-            restores += group_restores
-        indexed.sort(key=lambda pair: pair[0])
-        phase_units = sum(spec.depth for spec in specs)
-        if reuse:
-            # each group built its whole chain exactly once
-            phase_builds = sum(PREFIX_DEPTH[group[0][1].prefix] for group in groups)
-        else:
-            phase_builds = phase_units
-        return FleetResult(
-            replicas=[result for _, result in indexed],
-            prefix_builds=builds,
-            prefix_restores=restores,
-            prefix_groups=len(groups),
-            phase_units=phase_units,
-            phase_builds=phase_builds,
-            strategy="flat" if reuse else "no-reuse",
-        )
-
-    def _run_tree(self, specs: List[ReplicaSpec]) -> FleetResult:
         plan = plan_tree(specs)
         cache = self.cache if self.cache is not None else SnapshotCache()
         builds = 0
@@ -396,7 +283,6 @@ class FleetRunner:
             prefix_groups=len(leaf_order),
             phase_units=sum(spec.depth for spec in specs),
             phase_builds=builds,
-            strategy="tree",
             tree_stats={
                 "depth": plan.depth,
                 "nodes": len(plan.nodes),
@@ -422,8 +308,8 @@ def _stable_stats(stats: dict) -> dict:
 def materialize_tree(specs: Sequence[ReplicaSpec], store: SnapshotStore) -> TreePlan:
     """Populate a disk store with every reuse-tree node for ``specs``.
 
-    A warm-up helper (used by benches and smoke jobs): after it runs, a
-    tree-strategy fleet over the same specs performs zero prefix builds.
+    A warm-up helper: after it runs, a fleet over the same specs
+    performs zero prefix builds.
     """
     plan = plan_tree(specs)
     blobs: Dict[str, bytes] = {}

@@ -24,13 +24,12 @@ make that hold:
   their views (hash-table layout is a function of mutation *history*,
   which a dump/load cycle does not preserve).
 
-Invalidation rule: cache keys include the config digest, the prefix
-phase, and :data:`SNAPSHOT_SCHEMA_VERSION`; bumping the version (any
+Invalidation rule: the nested reuse tree (:mod:`repro.fleet.tree`)
+folds :data:`SNAPSHOT_SCHEMA_VERSION` into every node key, the keys of
+both the in-memory cache and the disk store; bumping the version (any
 time Study state layout changes incompatibly) orphans every old
 envelope, and :func:`restore_study` refuses envelopes from another
-version rather than guessing. The nested reuse tree
-(:mod:`repro.fleet.tree`) folds the same version into every node key,
-so disk-store entries are orphaned by the same bump.
+version rather than guessing.
 
 Collector policy: a frozen study is a few hundred thousand container
 objects, and CPython's cyclic collector, left running, walks them over
@@ -52,7 +51,7 @@ import hashlib
 import json
 import pickle
 from contextlib import contextmanager
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, Optional
 
 from repro.core.config import StudyConfig
 from repro.core.study import Study
@@ -210,16 +209,9 @@ def restore_study(blob: bytes) -> Study:
 class SnapshotCache:
     """Bounded in-memory envelope cache, LRU-evicted, obs-instrumented.
 
-    Two access levels share one LRU store:
-
-    * ``get_or_build(config, prefix)`` — the whole-chain interface:
-      returns a *live study* forked from the cached envelope (every
-      caller gets an independent copy — the envelope bytes are never
-      mutated), plus whether the call hit the cache. Envelopes that
-      fail verification are evicted and rebuilt, never trusted.
-    * ``get_blob``/``put_blob`` — raw string-keyed envelope bytes, used
-      by the tree scheduler whose keys are reuse-node digests rather
-      than ``(config, prefix)`` pairs.
+    ``get_blob``/``put_blob`` hold raw envelope bytes keyed by reuse-tree
+    node digest (:mod:`repro.fleet.tree`); callers fork live studies
+    from them with :func:`restore_study`, so the bytes are never mutated.
 
     ``max_entries``/``max_bytes`` bound residency (``None`` = unbounded,
     the historical behaviour): inserting past either limit evicts
@@ -242,8 +234,6 @@ class SnapshotCache:
         self.max_entries = max_entries
         self.max_bytes = max_bytes
         self._cache: Dict[str, bytes] = {}
-        self.builds = 0
-        self.restores = 0
         self.evictions = 0
         self._bytes_gauge = obs.gauge("fleet.snapshot.bytes")
         self._eviction_counter = obs.counter("fleet.snapshot.evictions")
@@ -259,12 +249,8 @@ class SnapshotCache:
         return {
             "entries": len(self._cache),
             "bytes": self.bytes_cached,
-            "builds": self.builds,
-            "restores": self.restores,
             "evictions": self.evictions,
         }
-
-    # -- raw blob access (tree-node keys) -------------------------------
 
     def get_blob(self, key: str) -> Optional[bytes]:
         """The cached envelope under ``key``, refreshed as most-recent."""
@@ -281,11 +267,6 @@ class SnapshotCache:
         self._evict()
         self._bytes_gauge.set(self.bytes_cached)
 
-    def drop(self, key: str) -> None:
-        """Forget one entry (without counting it as an eviction)."""
-        self._cache.pop(key, None)
-        self._bytes_gauge.set(self.bytes_cached)
-
     def _evict(self) -> None:
         while self._cache and (
             (self.max_entries is not None and len(self._cache) > self.max_entries)
@@ -295,34 +276,6 @@ class SnapshotCache:
             del self._cache[oldest]
             self.evictions += 1
             self._eviction_counter.inc()
-
-    # -- whole-chain interface ------------------------------------------
-
-    def _key(self, config: StudyConfig, prefix: str) -> str:
-        return f"{config_digest(config)}:{prefix}:v{SNAPSHOT_SCHEMA_VERSION}"
-
-    def get_or_build(self, config: StudyConfig, prefix: str) -> Tuple[Study, bool]:
-        key = self._key(config, prefix)
-        blob = self.get_blob(key)
-        if blob is not None:
-            try:
-                study = restore_study(blob)
-            except SnapshotError:
-                self.drop(key)
-            else:
-                self.restores += 1
-                return study, True
-        self.builds += 1
-        built = build_prefix(config, prefix)
-        blob = snapshot_study(built, prefix)
-        del built  # let restore_study's collection reclaim the builder
-        self.put_blob(key, blob)
-        # hand back a fork of the frozen bytes, not the builder study:
-        # every replica then starts from the identical restored state,
-        # including the one that happened to pay for the build
-        study = restore_study(blob)
-        self.restores += 1
-        return study, False
 
 
 __all__ = [

@@ -114,8 +114,8 @@ class FleetResult:
     ``prefix_builds``/``prefix_restores`` count snapshot-node builds and
     envelope restores; ``phase_units``/``phase_builds`` are the
     phase-granular cost ledger (see the module docstring).
-    ``tree_stats``/``store_stats`` are present when the run used the
-    tree scheduler / a disk snapshot store.
+    ``tree_stats`` is present when the run planned a reuse tree (any
+    non-empty fleet), ``store_stats`` when it used a disk snapshot store.
     """
 
     replicas: list[ReplicaResult]
@@ -124,9 +124,6 @@ class FleetResult:
     prefix_groups: int
     phase_units: int = 0
     phase_builds: int = 0
-    #: "tree" (nested prefix reuse), "flat" (whole-chain groups), or
-    #: "no-reuse" (every replica rebuilds its own chain)
-    strategy: str = "flat"
     tree_stats: dict | None = None
     store_stats: dict | None = None
     cache_stats: dict | None = field(default=None, repr=False)
@@ -143,7 +140,9 @@ class FleetResult:
     def merged_payload(self) -> dict:
         """The spec-order merged payload (worker count independent)."""
         snapshot: dict = {
-            "strategy": self.strategy,
+            # the one scheduler (nested prefix reuse); kept as a field so
+            # the payload shape stays FLEET_SCHEMA_VERSION 2
+            "strategy": "tree",
             "prefix_groups": self.prefix_groups,
             "prefix_builds": self.prefix_builds,
             "prefix_restores": self.prefix_restores,
@@ -273,7 +272,7 @@ class FleetResult:
         meta = {
             "replica": FLEET_TRACE_REPLICA,
             "fleet": {
-                "strategy": self.strategy,
+                "strategy": "tree",
                 "replica_count": len(self.replicas),
                 "prefix_groups": self.prefix_groups,
                 "phase_units": self.phase_units,

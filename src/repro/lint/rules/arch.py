@@ -36,7 +36,6 @@ LAYER_RANK: dict[str, int] = {
     "interventions": 6,
     "core": 7,
     "fleet": 8,
-    "bench": 9,
 }
 
 #: rank assigned to anything not in the table (top-level modules such as
@@ -70,7 +69,7 @@ class LayeringRule(Rule):
     summary: ClassVar[str] = (
         "cross-layer imports must point strictly downward (util/netsim -> "
         "obs -> platform -> behavior -> aas -> honeypot|detection -> "
-        "analysis|interventions -> core -> fleet -> bench); the substrate "
+        "analysis|interventions -> core -> fleet); the substrate "
         "never sees its observers"
     )
 

@@ -23,7 +23,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: obs console reporter (which exists to render spans for --verbose)
 _CONSOLE_OWNERS = (
     "repro/cli.py",
-    "repro/bench/cli.py",
     "repro/lint/cli.py",
     "repro/obs/cli.py",
     "repro/obs/report.py",

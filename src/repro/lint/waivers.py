@@ -2,13 +2,13 @@
 
 Per-line ``# repro-lint: ignore[...]`` suppressions (engine.py) are the
 right tool for one-off exceptions, but some packages are *categorically*
-exempt from a rule — the perf harness reads the wall clock on every
-measurement, and peppering it with identical per-line pragmas would bury
-the real code. A waiver grants one rule to one module subtree, with a
+exempt from a rule — the host-probe module reads the wall clock by
+design, and peppering it with identical per-line pragmas would bury the
+real code. A waiver grants one rule to one module subtree, with a
 recorded justification, and nothing else: the scope is a dotted-module
-prefix match, so a waiver for ``repro.bench`` can never silence the same
-rule in ``repro.core`` or anywhere outside the named subtree (the leak
-test in ``tests/test_lint_waivers.py`` pins this down).
+prefix match, so a waiver for ``repro.obs.walltime`` can never silence
+the same rule in ``repro.core`` or anywhere outside the named subtree
+(the leak test in ``tests/test_lint_waivers.py`` pins this down).
 
 Waivers are deliberately a static table in source, not configuration:
 adding one is a reviewed code change that must carry its reason.
@@ -43,37 +43,11 @@ class Waiver:
 WAIVERS: tuple[Waiver, ...] = (
     Waiver(
         rule="DET003",
-        module_prefix="repro.bench",
-        reason=(
-            "the perf harness times wall-clock by design; timings are "
-            "reporting outputs and never feed back into simulation state"
-        ),
-    ),
-    Waiver(
-        rule="DET003",
         module_prefix="repro.obs.walltime",
         reason=(
             "optional wall-clock span durations live behind this one "
             "module; they are write-only trace annotations, stripped by "
             "canonical_lines() before any determinism comparison"
-        ),
-    ),
-    Waiver(
-        rule="OBS003",
-        module_prefix="repro.bench",
-        reason=(
-            "the perf harness reads the monotonic clock on every "
-            "measurement by design (same grounds as its DET003 waiver); "
-            "RSS it takes through repro.obs.walltime like everyone else"
-        ),
-    ),
-    Waiver(
-        rule="OBS002",
-        module_prefix="repro.bench",
-        reason=(
-            "the perf harness snapshots metrics into its reporting "
-            "payloads by design; bench output is measurement, never "
-            "simulation state, so the read cannot perturb a study"
         ),
     ),
     Waiver(

@@ -2,9 +2,9 @@
 
 The simulator's determinism contract (DESIGN.md §7) forbids ambient
 inputs, which historically also meant the pipeline ran blind: progress
-was a handful of stderr prints and the bench harness captured only
-end-to-end wall time. ``repro.obs`` is the telemetry substrate that
-fixes this without perturbing determinism:
+was a handful of stderr prints and end-to-end wall time. ``repro.obs``
+is the telemetry substrate that fixes this without perturbing
+determinism:
 
 * :mod:`repro.obs.metrics` — a registry of counters, gauges, and
   histograms keyed by dotted names with labels, snapshotting to a
@@ -26,11 +26,9 @@ fixes this without perturbing determinism:
   enclosing span as ``cost_total``/``cost_self`` attrs.
 * :mod:`repro.obs.flame` — flamegraph rendering over the span cost
   tree (text and JSON).
-* :mod:`repro.obs.history` — the append-only ``BENCH_HISTORY.jsonl``
-  store and noise-floor-aware regression verdicts.
 * ``python -m repro.obs`` (:mod:`repro.obs.cli`) — summarize a trace,
   diff two traces for coverage regressions, validate schemas, render
-  flamegraphs, gate on bench-history regressions.
+  flamegraphs.
 
 Telemetry is strictly write-only from the simulation's perspective:
 nothing in this package is ever read back by simulation code, which is
@@ -42,15 +40,6 @@ from __future__ import annotations
 
 from repro.obs.facade import NULL_OBS, Observability
 from repro.obs.flame import FLAME_SCHEMA_VERSION, FlameNode, build_forest, flame_payload
-from repro.obs.history import (
-    HISTORY_FILE_NAME,
-    HISTORY_SCHEMA_VERSION,
-    RegressVerdict,
-    append_history,
-    history_record,
-    read_history,
-    regress,
-)
 from repro.obs.metrics import (
     SNAPSHOT_SCHEMA_VERSION,
     Counter,
@@ -75,8 +64,6 @@ __all__ = [
     "COST_SELF_ATTR",
     "COST_TOTAL_ATTR",
     "FLAME_SCHEMA_VERSION",
-    "HISTORY_FILE_NAME",
-    "HISTORY_SCHEMA_VERSION",
     "NULL_OBS",
     "SNAPSHOT_SCHEMA_VERSION",
     "TRACE_SCHEMA_VERSION",
@@ -88,19 +75,14 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "Observability",
-    "RegressVerdict",
     "Span",
     "SpanListener",
     "Tracer",
-    "append_history",
     "build_forest",
     "canonical_lines",
     "flame_payload",
-    "history_record",
     "label_replica",
-    "read_history",
     "read_trace_lines",
-    "regress",
     "split_segments",
     "strip_cost_attrs",
     "trace_lines",

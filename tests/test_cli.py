@@ -212,7 +212,6 @@ class TestSweep:
 
     def test_sweep_parser_defaults(self):
         args = build_parser().parse_args(["sweep", "manifest.json"])
-        assert args.strategy == "tree"
         assert args.store == ""
         assert args.store_max_bytes is None
         assert args.workers is None

@@ -77,6 +77,59 @@ class TestParseValidation:
         with pytest.raises(ManifestError, match=match):
             parse_manifest(_manifest(**mutation))
 
+    @pytest.mark.parametrize(
+        "arm,match",
+        [
+            # a misspelt key used to expand to a replica on the 14-day default
+            ({"arm": "narrow", "options": {"narow_days": 1}}, "'narrow' has no option 'narow_days'"),
+            # a negative window used to fail only inside the worker
+            ({"arm": "narrow", "options": {"narrow_days": -3}}, "'narrow_days' must be >= 1"),
+            ({"arm": "standard", "options": {"narrow_days": 2}}, "'standard' has no option"),
+            ({"arm": "report", "options": {"delay_days": 1}}, "'report' has no option"),
+            ({"arm": "broad", "grid": {"delay": [1, 2]}}, "'broad' has no option 'delay'"),
+            ({"arm": "narrow", "options": {"narrow_days": "7"}}, "must be an integer"),
+            ({"arm": "narrow", "options": {"narrow_days": 2.5}}, "must be an integer"),
+            ({"arm": "broad", "options": {"block_days": True}}, "must be an integer"),
+            ({"arm": "narrow", "options": {"measurement_days": None}}, "must be an integer"),
+            ({"arm": "narrow", "grid": {"narrow_days": [1, 0]}}, "'narrow_days' must be >= 1"),
+            ({"arm": "narrow", "options": {"calibration_days": 0}}, "'calibration_days' must be >= 1"),
+            ({"arm": "broad", "options": {"block_days": 0}}, "'block_days' must be >= 1"),
+            ({"arm": "broad", "options": {"calibration_days": 0}}, "'calibration_days' must be >= 1"),
+            ({"arm": "broad", "options": {"delay_days": -1}}, "'delay_days' must be >= 0"),
+            ({"arm": "broad", "options": {"measurement_days": -1}}, "'measurement_days' must be >= 0"),
+            ({"arm": "standard", "options": {"measurement_days": 0}}, "'measurement_days' must be >= 1"),
+            ({"arm": "report", "grid": {"measurement_days": [2, 0]}}, "'measurement_days' must be >= 1"),
+        ],
+    )
+    def test_bad_arm_options_rejected_with_arm_and_key(self, arm, match) -> None:
+        with pytest.raises(ManifestError, match=match) as caught:
+            parse_manifest(_manifest(seeds=[3], arms=[arm]))
+        assert str(caught.value).startswith("arms[0]: arm ")
+
+    def test_arm_option_bounds_are_inclusive(self) -> None:
+        manifest = parse_manifest(
+            _manifest(
+                arms=[
+                    {"arm": "standard", "options": {"measurement_days": 1}},
+                    {"arm": "report", "options": {"measurement_days": 1}},
+                    {
+                        "arm": "narrow",
+                        "options": {"measurement_days": 0, "narrow_days": 1, "calibration_days": 1},
+                    },
+                    {
+                        "arm": "broad",
+                        "options": {
+                            "measurement_days": 0,
+                            "delay_days": 0,
+                            "block_days": 1,
+                            "calibration_days": 1,
+                        },
+                    },
+                ]
+            )
+        )
+        assert [arm.arm for arm in manifest.arms] == ["standard", "report", "narrow", "broad"]
+
     def test_non_object_rejected(self) -> None:
         with pytest.raises(ManifestError, match="JSON object"):
             parse_manifest([1, 2, 3])

@@ -30,6 +30,7 @@ from repro.fleet import (
 )
 from repro.obs import Observability, split_segments
 from repro.obs.schema import validate_trace
+from tests.oracles.fleet import run_unshared
 
 SEEDS = (21, 22)
 WORKER_COUNTS = (1, 2, 4)
@@ -69,8 +70,8 @@ def fleets() -> dict[int, FleetResult]:
 
 
 @pytest.fixture(scope="module")
-def serial_no_reuse() -> FleetResult:
-    return FleetRunner(workers=1, reuse_prefix=False).run(_specs())
+def serial_no_reuse() -> list[ReplicaResult]:
+    return run_unshared(_specs())
 
 
 class TestWorkerCountInvariance:
@@ -99,7 +100,7 @@ class TestMergeContract:
         # world → honeypot → signatures chain (3 node builds), and the
         # two arms of a seed share that chain's leaf
         for fleet in fleets.values():
-            assert fleet.strategy == "tree"
+            assert fleet.merged_payload()["snapshot"]["strategy"] == "tree"
             assert fleet.prefix_groups == len(SEEDS)
             assert fleet.prefix_builds == 3 * len(SEEDS)
             # restores: every non-root node restores its parent blob
@@ -130,8 +131,6 @@ class TestMergeContract:
 class TestPrefixReuseEquivalence:
     def test_reuse_changes_wall_clock_only_never_payloads(self, fleets, serial_no_reuse) -> None:
         reused = fleets[1]
-        assert serial_no_reuse.prefix_builds == len(serial_no_reuse.replicas)
-        assert all(not replica.prefix_reused for replica in serial_no_reuse.replicas)
         # spans are identical too, once the only legitimate delta — the
         # prefix_reused header flag — is ignored
         def strip(lines):
@@ -144,31 +143,21 @@ class TestPrefixReuseEquivalence:
                 stripped.append(line)
             return stripped
 
-        for with_cache, without_cache in zip(reused.replicas, serial_no_reuse.replicas):
+        for with_cache, without_cache in zip(reused.replicas, serial_no_reuse):
             assert with_cache.payload == without_cache.payload
             assert with_cache.trace is not None
             assert strip(with_cache.trace) == strip(without_cache.trace)
 
 
 class TestStrategyEquivalence:
-    """Flat, tree, and warm-store runs differ in scheduling only."""
-
-    def test_flat_and_tree_payloads_identical(self, fleets) -> None:
-        flat = FleetRunner(workers=1, strategy="flat").run(_specs())
-        tree = fleets[1]
-        assert flat.strategy == "flat"
-        assert [r.payload for r in flat.replicas] == [r.payload for r in tree.replicas]
-        assert flat.phase_units == tree.phase_units
-        # same specs, different ledgers: flat rebuilt nothing extra here
-        # (the two seeds share nothing), so the costs happen to agree
-        assert flat.prefix_groups == len(SEEDS)
+    """Cold, warm-store and corrupt-store runs differ in scheduling only."""
 
     def test_warm_store_run_builds_nothing(self, fleets) -> None:
         root = temporary_store_root()
         try:
             materialize_tree(_specs(), SnapshotStore(root))
             warm = FleetRunner(
-                workers=1, strategy="tree", store=SnapshotStore(root)
+                workers=1, store=SnapshotStore(root)
             ).run(_specs())
             assert warm.prefix_builds == 0
             assert warm.build_cost_avoided_frac == 1.0
@@ -194,7 +183,7 @@ class TestStrategyEquivalence:
             with open(path, "wb") as handle:
                 handle.write(data[: len(data) // 3])
             store = SnapshotStore(root)
-            result = FleetRunner(workers=1, strategy="tree", store=store).run(_specs())
+            result = FleetRunner(workers=1, store=store).run(_specs())
             assert store.corruptions == 1
             assert result.prefix_builds == 1  # only the truncated node
             assert [r.payload for r in result.replicas] == [
@@ -240,7 +229,7 @@ class TestBoundedCache:
         # a one-entry cache forces rebuilds the unbounded run avoided,
         # but the replica bytes must not notice
         tight = FleetRunner(
-            workers=1, strategy="tree", cache=SnapshotCache(max_entries=1)
+            workers=1, cache=SnapshotCache(max_entries=1)
         ).run(_specs())
         assert tight.cache_stats is not None
         assert tight.cache_stats["entries"] <= 1

@@ -23,7 +23,6 @@ from repro.fleet import (
     PREFIX_BUILD_WORLD,
     PREFIX_SIGNATURES,
     SNAPSHOT_SCHEMA_VERSION,
-    SnapshotCache,
     SnapshotError,
     build_prefix,
     config_digest,
@@ -118,24 +117,6 @@ class TestConfigDigest:
         assert config_digest(StudyConfig.tiny(seed=11)) == config_digest(StudyConfig.tiny(seed=11))
         assert config_digest(StudyConfig.tiny(seed=11)) != config_digest(StudyConfig.tiny(seed=12))
         assert config_digest(StudyConfig.tiny(seed=11)) != config_digest(StudyConfig.small(seed=11))
-
-
-class TestSnapshotCache:
-    def test_second_request_hits_and_builder_also_restores(self) -> None:
-        cache = SnapshotCache()
-        config = StudyConfig.tiny(seed=11)
-        first, hit_first = cache.get_or_build(config, PREFIX_BUILD_WORLD)
-        second, hit_second = cache.get_or_build(config, PREFIX_BUILD_WORLD)
-        assert (hit_first, hit_second) == (False, True)
-        assert (cache.builds, cache.restores) == (1, 2)
-        assert first is not second  # every caller gets an independent fork
-
-    def test_distinct_seeds_do_not_share_an_envelope(self) -> None:
-        cache = SnapshotCache()
-        cache.get_or_build(StudyConfig.tiny(seed=11), PREFIX_BUILD_WORLD)
-        _, hit = cache.get_or_build(StudyConfig.tiny(seed=12), PREFIX_BUILD_WORLD)
-        assert not hit
-        assert cache.builds == 2
 
 
 class TestCollectorState:

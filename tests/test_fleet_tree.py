@@ -8,7 +8,8 @@ Two halves:
   shares nothing. All pure-function tests, no studies built.
 * Nested-restore determinism (DESIGN.md §13) — restoring from *any*
   tree node and advancing to completion is byte-identical (payload and
-  trace) to the uninterrupted no-reuse run, at every tree depth, for
+  trace) to the uninterrupted unshared run
+  (:func:`tests.oracles.fleet.run_unshared`), at every tree depth, for
   two config presets.
 """
 
@@ -25,7 +26,6 @@ from repro.fleet import (
     PREFIX_HONEYPOT,
     PREFIX_SIGNATURES,
     PREFIXES,
-    FleetRunner,
     ReplicaSpec,
     SnapshotStore,
     advance_prefix,
@@ -46,6 +46,7 @@ from repro.fleet.tree import (
     phase_subdigest,
     plan_tree,
 )
+from tests.oracles.fleet import run_unshared
 
 
 def _spec(config: StudyConfig, name: str) -> ReplicaSpec:
@@ -199,7 +200,7 @@ def _strip_reused(lines: list) -> list:
 @pytest.mark.parametrize("label,config", _presets())
 def test_restore_from_every_depth_is_byte_identical(label, config) -> None:
     spec = _spec(config, f"{label}/standard")
-    baseline = FleetRunner(workers=1, reuse_prefix=False).run([spec]).replicas[0]
+    [baseline] = run_unshared([spec])
 
     root = temporary_store_root()
     try:
